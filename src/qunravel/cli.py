@@ -5,6 +5,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or parse error.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -39,15 +40,11 @@ def _load(args):
     if args.seed is not None:
         if scenario.integration is None:
             raise ScenarioError("scenario has no integration block to seed")
-        scenario.integration = sde.IntegrationConfig(
-            dt=scenario.integration.dt, t_final=scenario.integration.t_final,
-            seed=args.seed, renormalize=scenario.integration.renormalize,
-            record_stride=scenario.integration.record_stride)
+        scenario.integration = dataclasses.replace(scenario.integration,
+                                                   seed=args.seed)
     if args.no_renormalize and scenario.integration is not None:
-        scenario.integration = sde.IntegrationConfig(
-            dt=scenario.integration.dt, t_final=scenario.integration.t_final,
-            seed=scenario.integration.seed, renormalize=False,
-            record_stride=scenario.integration.record_stride)
+        scenario.integration = dataclasses.replace(scenario.integration,
+                                                   renormalize=False)
     return scenario
 
 

@@ -4,13 +4,13 @@ generation with deterministic, parallelism-independent reproducibility.
 Each trajectory i draws its Wiener increments from a counter-based Philox
 stream keyed by (seed, i), so the stream is a pure function of the pair and
 trajectories can be executed in any order or on any number of threads
-without changing a single bit of the result.  Ensemble averages are reduced
-in trajectory-index order.
+without changing a single bit of the result.  Each chunk of trajectories is
+reduced to one projector sum, and the chunk sums are added in chunk order.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class IntegrationConfig:
             raise ValueError("dt must not exceed t_final")
         if self.t_final / self.dt > 1e8:
             raise ValueError("more than 1e8 steps requested")
+        if abs(self.n_steps * self.dt - self.t_final) > \
+                1e-9 * max(1.0, self.t_final):
+            raise ValueError(f"t_final={self.t_final} is not a multiple of "
+                             f"dt={self.dt}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be positive")
         if not (0 <= int(self.seed) < 2 ** 64):
@@ -101,6 +105,15 @@ def wiener_increments(rng, n, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     return rng.normal(0.0, math.sqrt(dt), size=n)
+
+
+def projector_sum(states):
+    """Sum of |psi><psi| over a batch, per record: (count, R, d) -> (R, d, d).
+
+    Plain einsum, which does not dispatch to BLAS, so the sum is a pure
+    function of the batch and the same on every thread.
+    """
+    return np.einsum("bri,brj->rij", states, states.conj())
 
 
 def _constant_drift_matrix(u):
@@ -199,10 +212,14 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
         raise ValueError("dW_chunks must match the chunk layout")
 
     def work(item):
+        # Reduce inside the worker so that a chunk's states are freed as soon
+        # as the chunk is done, unless the caller keeps them.
         idx, (lo, count) = item
         dW = None if dW_chunks is None else dW_chunks[idx]
-        return _run_chunk(u, psi0, cfg, lo, count, record_steps,
-                          dW_override=dW, backend=backend)
+        states, dmax, dmean = _run_chunk(u, psi0, cfg, lo, count, record_steps,
+                                         dW_override=dW, backend=backend)
+        return (projector_sum(states), states[:, -1, :].copy(), dmax, dmean,
+                states if keep_states else None)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -215,12 +232,10 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     drift_means = np.zeros(n_trajectories)
     finals = np.empty((n_trajectories, d), dtype=complex)
     kept = np.empty((n_trajectories, R, d), dtype=complex) if keep_states else None
-    for (lo, count), (states, dmax, dmean) in zip(chunks, results):
-        for i in range(count):
-            for r in range(R):
-                s = states[i, r]
-                rho_sum[r] += np.outer(s, np.conj(s))
-        finals[lo:lo + count] = states[:, -1, :]
+    # chunk order, whatever the thread count
+    for (lo, count), (partial, final, dmax, dmean, states) in zip(chunks, results):
+        rho_sum += partial
+        finals[lo:lo + count] = final
         if keep_states:
             kept[lo:lo + count] = states
         drifts[lo:lo + count] = dmax
@@ -229,7 +244,7 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     rho_hat = rho_sum / n_trajectories
     # For unit-norm projectors E||P||_F^2 = 1, so the Frobenius-scale Monte
     # Carlo error is sqrt((1 - ||rho||_F^2) / M).
-    frob2 = np.array([np.sum(np.abs(r) ** 2).real for r in rho_hat])
+    frob2 = np.sum(np.abs(rho_hat) ** 2, axis=(1, 2))
     std_error = np.sqrt(np.maximum(0.0, 1.0 - frob2) / n_trajectories)
     return EnsembleEstimate(times=record_steps * cfg.dt, rho_hat=rho_hat,
                             n_trajectories=n_trajectories,

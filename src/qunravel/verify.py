@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -263,6 +263,7 @@ def _faulty_rho(u, psi0, cfg, n_trajectories, steps_wanted, fault,
             dW[i] = rng.normal(0.0, math.sqrt(cfg.dt),
                                size=(n_steps, u.noise_count))
         psi = np.broadcast_to(psi0, (count, d)).copy()
+        recorded = np.zeros((count, R, d), dtype=complex)
         rec = 0
         for s in range(n_steps):
             new = psi + cfg.dt * (psi @ K.T)
@@ -284,9 +285,9 @@ def _faulty_rho(u, psi0, cfg, n_trajectories, steps_wanted, fault,
                 new += dW[:, s, k][:, None] * noise
             psi = new
             if rec < R and s + 1 == steps_wanted[rec]:
-                for i in range(count):
-                    rho_sum[rec] += np.outer(psi[i], np.conj(psi[i]))
+                recorded[:, rec] = psi
                 rec += 1
+        rho_sum += sde.projector_sum(recorded)
         start += count
     return rho_sum / n_trajectories
 
@@ -343,10 +344,7 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
     for i, freedom in enumerate(freedoms):
         u = Unraveling(model, freedom)
         # distinct sub-seed per entry so ensembles are independent draws
-        cfg_i = sde.IntegrationConfig(
-            dt=cfg.dt, t_final=cfg.t_final,
-            seed=(cfg.seed + 7919 * i) % 2 ** 64,
-            renormalize=cfg.renormalize, record_stride=cfg.record_stride)
+        cfg_i = replace(cfg, seed=(cfg.seed + 7919 * i) % 2 ** 64)
         if faults[i] is None:
             est = sde.simulate_ensemble(u, psi0, cfg_i, n_trajectories,
                                         threads=threads, record_steps=steps)

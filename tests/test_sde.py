@@ -27,6 +27,8 @@ def test_integration_config_validation():
         IntegrationConfig(dt=0.1, t_final=1.0, record_stride=0)
     with pytest.raises(ValueError):
         IntegrationConfig(dt=0.1, t_final=1.0, seed=-1)
+    with pytest.raises(ValueError, match="multiple of dt"):
+        IntegrationConfig(dt=0.3, t_final=1.0)   # would stop at t = 0.9
     cfg = IntegrationConfig(dt=0.1, t_final=1.0)
     assert cfg.n_steps == 10
 
@@ -121,6 +123,29 @@ def test_ensemble_keep_states_shape():
     est = simulate_ensemble(DEPHASING, PLUS, cfg, 10, keep_states=True)
     assert est.states.shape == (10, 2, 2)
     assert np.array_equal(est.states[:, -1, :], est.final_states)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rho_hat_is_the_mean_projector_of_the_kept_states(threads):
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=21, record_stride=4)
+    est = simulate_ensemble(DEPHASING, PLUS, cfg, 601, threads=threads,
+                            keep_states=True, chunk_size=128)
+    ref = np.zeros_like(est.rho_hat)
+    for traj in est.states:
+        for r, psi in enumerate(traj):
+            ref[r] += np.outer(psi, np.conj(psi))
+    ref /= 601
+    assert np.max(np.abs(est.rho_hat - ref)) < 1e-13
+
+
+def test_keeping_states_does_not_change_rho_hat():
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=22, record_stride=4)
+    kept = simulate_ensemble(DEPHASING, PLUS, cfg, 601, keep_states=True,
+                             chunk_size=128)
+    dropped = simulate_ensemble(DEPHASING, PLUS, cfg, 601, chunk_size=128)
+    assert dropped.states is None
+    assert np.array_equal(kept.rho_hat, dropped.rho_hat)
+    assert np.array_equal(kept.final_states, dropped.final_states)
 
 
 def test_blowup_raises_with_trajectory_index():

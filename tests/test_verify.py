@@ -118,11 +118,12 @@ def test_check_unraveling_equivalence_clean():
                                      10, 0.3)
 
 
-def test_fault_injection_is_detected():
+@pytest.mark.parametrize("fault", ["drop_ell2", "zero_ell_in_B"])
+def test_fault_injection_is_detected(fault):
     cfg = IntegrationConfig(dt=1e-3, t_final=1.0, seed=8, renormalize=False)
     report = check_unraveling_equivalence(
         DEPHASING, ["standard", "standard"], PLUS, cfg, 2000, 1.0,
-        faults=[None, "drop_ell2"])
+        faults=[None, fault])
     assert not report.passed   # the injected fault must break agreement
     report.expect = "fail"
     assert report.ok
