@@ -1,28 +1,31 @@
-"""Hot Euler-Maruyama stepping kernels.
+"""The zero-gauge drift and diffusion, and the Euler-Maruyama stepping loop
+built on it.
 
-Two interchangeable backends compute identical math:
+:func:`drift_diffusion` is the one place the unraveling formula is written:
+given the constant matrix K = -iH - (1/2) sum L_k^dag L_k and the rotated
+operators L_k, it maps a batch of states to
 
-* ``numba``: an ``@njit`` kernel looping over trajectories and steps
-  (default when numba imports cleanly);
-* ``numpy``: a pure-numpy path vectorized over the trajectory batch.
+    A psi = K psi + sum_k (ell_k L_k psi - ell_k^2 psi / 2),
+    B_k   = L_k psi - ell_k psi,          ell_k = Re <psi, L_k psi>.
 
-Selection: set ``QUNRAVEL_BACKEND=numpy`` (or ``numba``) in the environment;
-``benchmarks/bench_backends.py`` compares the two.
+``unraveling.drift_vector``/``diffusion_vectors``/``generator_term`` call it
+with a batch of one; :func:`simulate_chunk` calls it once per step.  An
+optional fault ("drop_ell2" or "zero_ell_in_B") removes the -ell_k^2/2 drift
+term or the -ell_k psi part of B_k; under a fault the functionals are taken
+on the normalized state, which keeps the (trace non-preserving) faulty
+dynamics integrable without renormalization.
 
-Kernel contract: given a shared initial state, the constant matrices
-K = -iH - (1/2) sum L_k^dag L_k and the rotated operators, and a
-pregenerated Wiener-increment array dW of shape (batch, steps, N), advance
-each trajectory with
+Kernel contract: given a shared initial state and a pregenerated
+Wiener-increment array dW of shape (batch, steps, N), advance each
+trajectory with
 
-    psi' = psi + dt * (K psi + sum_k (ell_k L_k psi - ell_k^2 psi / 2))
-               + sum_k (L_k psi - ell_k psi) dW_k,
+    psi' = psi + dt * A psi + sum_k B_k dW_k,
 
 optionally renormalizing after each step.  Outputs per trajectory: the
-states at the requested record steps, the max pre-renormalization deviation
-|  ||psi'||^2 - 1 |, and a status flag (0 ok, 1 norm blow-up).
+states at the requested record steps, the max and mean pre-renormalization
+deviation |  ||psi'||^2 - 1 |, and a status flag (0 ok, 1 norm blow-up).  A
+blown-up trajectory keeps its last state.
 """
-
-import os
 
 import numpy as np
 
@@ -30,27 +33,48 @@ from .tolerances import TOL
 
 _BLOWUP2 = TOL.blowup_norm ** 2
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
+FAULTS = ("drop_ell2", "zero_ell_in_B")
 
 
 def active_backend():
-    """Backend chosen by QUNRAVEL_BACKEND, defaulting to numba when present."""
-    choice = os.environ.get("QUNRAVEL_BACKEND", "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("QUNRAVEL_BACKEND=numba but numba is not importable")
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the stepping backend; numpy is the only one."""
+    return "numpy"
+
+
+def drift_diffusion(psi, K, rotated, fault=None):
+    """Zero-gauge drift and diffusion of a batch of states.
+
+    Parameters
+    ----------
+    psi : (b, d) complex
+    K : (d, d) complex, the constant linear drift part
+    rotated : (N, d, d) complex
+    fault : None or one of :data:`FAULTS`
+
+    Returns
+    -------
+    A : (b, d) complex
+    B : (N, b, d) complex
+    """
+    A = psi @ K.T
+    B = psi @ rotated.transpose(0, 2, 1)        # L_k psi, (N, b, d)
+    if fault is not None:
+        n2 = np.sum(np.abs(psi) ** 2, axis=1)
+    for k in range(B.shape[0]):
+        Lpsi = B[k]
+        lk = np.sum(np.conj(psi) * Lpsi, axis=1).real
+        if fault is not None:
+            lk = lk / n2
+        A += lk[:, None] * Lpsi
+        if fault != "drop_ell2":
+            A -= 0.5 * (lk * lk)[:, None] * psi
+        if fault != "zero_ell_in_B":
+            Lpsi -= lk[:, None] * psi
+    return A, B
 
 
 def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
-                   backend=None):
+                   fault=None):
     """Advance a batch of trajectories from a common initial state.
 
     Parameters
@@ -62,7 +86,7 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
     dW : (batch, steps, N) float
     renormalize : bool
     record_steps : (R,) int, strictly increasing 1-based step counts
-    backend : optional override of :func:`active_backend`
+    fault : None or one of :data:`FAULTS`, see :func:`drift_diffusion`
 
     Returns
     -------
@@ -76,16 +100,6 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
     rotated = np.ascontiguousarray(rotated, dtype=np.complex128)
     dW = np.ascontiguousarray(dW, dtype=np.float64)
     record_steps = np.ascontiguousarray(record_steps, dtype=np.int64)
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba":
-        return _simulate_chunk_numba(psi0, K, rotated, float(dt), dW,
-                                     bool(renormalize), record_steps)
-    return _simulate_chunk_numpy(psi0, K, rotated, float(dt), dW,
-                                 bool(renormalize), record_steps)
-
-
-def _simulate_chunk_numpy(psi0, K, rotated, dt, dW, renormalize, record_steps):
     batch, steps, N = dW.shape
     d = psi0.size
     R = record_steps.size
@@ -98,13 +112,10 @@ def _simulate_chunk_numpy(psi0, K, rotated, dt, dW, renormalize, record_steps):
     psi = np.broadcast_to(psi0, (batch, d)).copy()
     rec = 0
     for s in range(steps):
-        Kpsi = psi @ K.T
-        new = psi + dt * Kpsi
+        A, B = drift_diffusion(psi, K, rotated, fault)
+        new = psi + dt * A
         for k in range(N):
-            Lpsi = psi @ rotated[k].T
-            lk = np.sum(np.conj(psi) * Lpsi, axis=1).real
-            new += dt * (lk[:, None] * Lpsi - 0.5 * (lk * lk)[:, None] * psi)
-            new += dW[:, s, k][:, None] * (Lpsi - lk[:, None] * psi)
+            new += dW[:, s, k][:, None] * B[k]
         n2 = np.sum(np.abs(new) ** 2, axis=1)
         dev = np.abs(n2 - 1.0)
         drift_max = np.where(alive & (dev > drift_max), dev, drift_max)
@@ -120,66 +131,3 @@ def _simulate_chunk_numpy(psi0, K, rotated, dt, dW, renormalize, record_steps):
             states[:, rec, :] = psi
             rec += 1
     return states, drift_max, drift_sum / steps, status
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _simulate_chunk_numba(psi0, K, rotated, dt, dW, renormalize,
-                              record_steps):
-        batch, steps, N = dW.shape
-        d = psi0.size
-        R = record_steps.size
-        states = np.zeros((batch, R, d), dtype=np.complex128)
-        drift_max = np.zeros(batch)
-        drift_sum = np.zeros(batch)
-        status = np.zeros(batch, dtype=np.uint8)
-        for b in range(batch):
-            psi = psi0.copy()
-            new = np.empty(d, dtype=np.complex128)
-            Lpsi = np.empty(d, dtype=np.complex128)
-            rec = 0
-            for s in range(steps):
-                for i in range(d):
-                    acc = 0.0 + 0.0j
-                    for j in range(d):
-                        acc += K[i, j] * psi[j]
-                    new[i] = psi[i] + dt * acc
-                for k in range(N):
-                    lk = 0.0
-                    for i in range(d):
-                        acc = 0.0 + 0.0j
-                        for j in range(d):
-                            acc += rotated[k, i, j] * psi[j]
-                        Lpsi[i] = acc
-                        lk += (np.conj(psi[i]) * acc).real
-                    w = dW[b, s, k]
-                    for i in range(d):
-                        new[i] += dt * (lk * Lpsi[i] - 0.5 * lk * lk * psi[i])
-                        new[i] += w * (Lpsi[i] - lk * psi[i])
-                n2 = 0.0
-                for i in range(d):
-                    n2 += new[i].real ** 2 + new[i].imag ** 2
-                dev = abs(n2 - 1.0)
-                if dev > drift_max[b]:
-                    drift_max[b] = dev
-                drift_sum[b] += dev
-                if n2 < _BLOWUP2:
-                    status[b] = 1
-                    break
-                if renormalize:
-                    inv = 1.0 / np.sqrt(n2)
-                    for i in range(d):
-                        new[i] *= inv
-                for i in range(d):
-                    psi[i] = new[i]
-                if rec < R and s + 1 == record_steps[rec]:
-                    for i in range(d):
-                        states[b, rec, i] = psi[i]
-                    rec += 1
-        return states, drift_max, drift_sum / steps, status
-
-else:  # pragma: no cover
-
-    def _simulate_chunk_numba(*args):
-        raise RuntimeError("numba backend requested but numba is unavailable")

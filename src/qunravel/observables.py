@@ -173,10 +173,3 @@ def projective_collapse(psi, projectors, weights):
         out += p * np.outer(Ppsi, np.conj(Ppsi)) / n2
     return out
 
-
-def born_weights(psi, projectors):
-    """p_n = ||P_n psi||^2."""
-    psi = hilbert.as_state(psi)
-    return np.array(
-        [float(np.real(np.vdot(psi, hilbert.as_operator(P) @ psi)))
-         for P in projectors])

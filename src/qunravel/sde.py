@@ -100,13 +100,6 @@ def trajectory_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def wiener_increments(rng, n, dt):
-    """n independent Gaussian increments with mean 0 and variance dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return rng.normal(0.0, math.sqrt(dt), size=n)
-
-
 def projector_sum(states):
     """Sum of |psi><psi| over a batch, per record: (count, R, d) -> (R, d, d).
 
@@ -116,27 +109,21 @@ def projector_sum(states):
     return np.einsum("bri,brj->rij", states, states.conj())
 
 
-def _constant_drift_matrix(u):
-    return -1j * u.model.hamiltonian - 0.5 * u.ldag_l_sum
-
-
 def step(u, psi, dt, dW, renormalize=True):
     """One Euler-Maruyama step (weak order 1)."""
     psi = hilbert.as_state(psi, dim=u.dim)
     dW = np.asarray(dW, dtype=float).reshape(1, 1, -1)
     if dW.shape[-1] != u.noise_count:
         raise ValueError(f"expected {u.noise_count} increments, got {dW.shape[-1]}")
-    rotated = np.array(u.rotated)
     states, _, _, status = kernels.simulate_chunk(
-        psi, _constant_drift_matrix(u), rotated, dt, dW, renormalize,
-        np.array([1], dtype=np.int64))
+        psi, u.K, u.rotated, dt, dW, renormalize,
+        np.array([1], dtype=np.int64), fault=u.fault)
     if status[0]:
         raise NormBlowupError(0)
     return states[0, 0]
 
 
-def _run_chunk(u, psi0, cfg, start, count, record_steps, dW_override=None,
-               backend=None):
+def _run_chunk(u, psi0, cfg, start, count, record_steps, dW_override=None):
     """Simulate trajectories [start, start+count) and return their states."""
     if dW_override is not None:
         dW = dW_override
@@ -147,13 +134,9 @@ def _run_chunk(u, psi0, cfg, start, count, record_steps, dW_override=None,
             rng = trajectory_rng(cfg.seed, start + i)
             dW[i] = rng.normal(0.0, math.sqrt(cfg.dt),
                                size=(steps, u.noise_count))
-    rotated = np.array(u.rotated) if u.noise_count else \
-        np.zeros((0, u.dim, u.dim), dtype=complex)
-    if rotated.size == 0:
-        rotated = rotated.reshape(u.noise_count, u.dim, u.dim)
     states, drift_max, drift_mean, status = kernels.simulate_chunk(
-        psi0, _constant_drift_matrix(u), rotated, cfg.dt, dW,
-        cfg.renormalize, record_steps, backend=backend)
+        psi0, u.K, u.rotated, cfg.dt, dW, cfg.renormalize, record_steps,
+        fault=u.fault)
     bad = np.nonzero(status)[0]
     if bad.size:
         raise NormBlowupError(start + int(bad[0]))
@@ -179,7 +162,7 @@ def simulate_trajectory(u, psi0, cfg, trajectory_index=0):
 
 def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
                       keep_states=False, chunk_size=_DEFAULT_CHUNK,
-                      dW_chunks=None, backend=None, record_steps=None):
+                      dW_chunks=None, record_steps=None):
     """Monte Carlo estimate of rho_t = E|psi_t><psi_t| over the record grid.
 
     The result is bitwise independent of `threads`: trajectory i always uses
@@ -188,7 +171,8 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
 
     dW_chunks optionally supplies pregenerated increments per chunk (used by
     the step-size consistency checks to couple runs across dt levels);
-    record_steps overrides the stride grid from cfg.
+    record_steps overrides the stride grid from cfg; it must be strictly
+    increasing within [1, cfg.n_steps].
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
@@ -199,6 +183,12 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
         record_steps = cfg.record_steps()
     else:
         record_steps = np.asarray(record_steps, dtype=np.int64)
+        if (record_steps.ndim != 1 or record_steps.size == 0
+                or record_steps[0] < 1 or record_steps[-1] > cfg.n_steps
+                or np.any(np.diff(record_steps) <= 0)):
+            raise ValueError(
+                f"record_steps must be strictly increasing within "
+                f"[1, {cfg.n_steps}], got {record_steps.tolist()}")
     R = record_steps.size
     d = u.dim
 
@@ -217,7 +207,7 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
         idx, (lo, count) = item
         dW = None if dW_chunks is None else dW_chunks[idx]
         states, dmax, dmean = _run_chunk(u, psi0, cfg, lo, count, record_steps,
-                                         dW_override=dW, backend=backend)
+                                         dW_override=dW)
         return (projector_sum(states), states[:, -1, :].copy(), dmax, dmean,
                 states if keep_states else None)
 

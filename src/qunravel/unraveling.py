@@ -11,7 +11,8 @@ operators L_k^u = sum_j u_kj L_j and, at a unit state psi,
                                      + ell_k^2 psi)
 
 The global-phase gauge functionals are fixed to zero, which makes every
-ell_k real.  The scalar-phase family (n = 1, u = [e^{if}]) interpolates
+ell_k real.  The formula itself is evaluated in one place,
+``kernels.drift_diffusion``; the functions here call it at a single state.  The scalar-phase family (n = 1, u = [e^{if}]) interpolates
 between the standard collapse dynamics (f = 0) and a linear random-potential
 evolution with no collapse (f = pi/2).
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hilbert
+from . import hilbert, kernels
 from .lindblad import LindbladModel
 from .tolerances import TOL
 
@@ -97,13 +98,20 @@ def parse_freedom(spec, n):
 class Unraveling:
     """A LindbladModel together with a noise-mixing freedom.
 
-    Precomputes the rotated operators and the (unitary-invariant) sum
-    L_k^dag L_k used by the drift.
+    Precomputes the stacked rotated operators (N, d, d), the
+    (unitary-invariant) sum L_k^dag L_k and the constant drift matrix
+    K = -iH - (1/2) sum L_k^dag L_k.  fault, when set to one of
+    ``kernels.FAULTS``, deliberately breaks the drift or diffusion
+    construction everywhere this unraveling is used; the verification
+    harness must catch it.
     """
 
-    def __init__(self, model, freedom=None):
+    def __init__(self, model, freedom=None, fault=None):
         if not isinstance(model, LindbladModel):
             raise TypeError("model must be a LindbladModel")
+        if fault is not None and fault not in kernels.FAULTS:
+            raise ValueError(f"unknown fault {fault!r}; expected one of "
+                             f"{', '.join(kernels.FAULTS)}")
         if freedom is None:
             freedom = standard_freedom(model.n_ops)
         if isinstance(freedom, str):
@@ -113,17 +121,20 @@ class Unraveling:
                 f"noise count {freedom.noise_count} < operator count {model.n_ops}")
         self.model = model
         self.freedom = freedom
+        self.fault = fault
         d = model.dim
         N = freedom.noise_count
         padded = list(model.lindblad_ops)
         padded += [np.zeros((d, d), dtype=complex)] * (N - len(padded))
         self.padded_ops = tuple(padded)
         u = freedom.as_matrix()
-        self.rotated = tuple(
-            sum(u[k, j] * padded[j] for j in range(N)) for k in range(N))
+        self.rotated = np.array(
+            [sum(u[k, j] * padded[j] for j in range(N)) for k in range(N)],
+            dtype=complex)
         self.ldag_l_sum = sum(
             (hilbert.dagger(L) @ L for L in padded),
             start=np.zeros((d, d), dtype=complex))
+        self.K = -1j * model.hamiltonian - 0.5 * self.ldag_l_sum
 
     @property
     def dim(self):
@@ -134,25 +145,15 @@ class Unraveling:
         return self.freedom.noise_count
 
 
-def rotated_ops(u):
-    """The constant rotated operators L_k^u = sum_j u_kj L_j."""
-    return list(u.rotated)
-
-
-def ell(psi, Lk):
-    """(1/2)<psi, (L^dag + L) psi> = Re <psi, L psi>; real in the zero gauge."""
-    return float(np.real(np.vdot(psi, Lk @ psi)))
+def _drift_diffusion(u, psi):
+    psi = hilbert.as_state(psi, dim=u.dim)
+    A, B = kernels.drift_diffusion(psi[None, :], u.K, u.rotated, u.fault)
+    return psi, A[0], B[:, 0]
 
 
 def diffusion_vectors(u, psi):
     """B_k(psi) = L_k^u psi - ell_k psi.  Each satisfies Re<psi, B_k> = 0."""
-    psi = hilbert.as_state(psi, dim=u.dim)
-    out = []
-    for Lk in u.rotated:
-        Lpsi = Lk @ psi
-        lk = float(np.real(np.vdot(psi, Lpsi)))
-        out.append(Lpsi - lk * psi)
-    return out
+    return list(_drift_diffusion(u, psi)[2])
 
 
 def drift_vector(u, psi):
@@ -161,13 +162,7 @@ def drift_vector(u, psi):
     The first drift term uses the unrotated sum L_k^dag L_k (invariant under
     the unitary mixing); the cross term uses the rotated operators.
     """
-    psi = hilbert.as_state(psi, dim=u.dim)
-    out = -1j * (u.model.hamiltonian @ psi) - 0.5 * (u.ldag_l_sum @ psi)
-    for Lk in u.rotated:
-        Lpsi = Lk @ psi
-        lk = float(np.real(np.vdot(psi, Lpsi)))
-        out = out + lk * Lpsi - 0.5 * lk * lk * psi
-    return out
+    return _drift_diffusion(u, psi)[1]
 
 
 def generator_term(u, psi):
@@ -176,8 +171,8 @@ def generator_term(u, psi):
     Equals lindblad_rhs(model, |psi><psi|) for every member of the family;
     this identity is the core correctness check.
     """
-    A = drift_vector(u, psi)
+    psi, A, B = _drift_diffusion(u, psi)
     out = hilbert.outer(A, psi) + hilbert.outer(psi, A)
-    for B in diffusion_vectors(u, psi):
-        out = out + hilbert.outer(B, B)
+    for Bk in B:
+        out = out + hilbert.outer(Bk, Bk)
     return out

@@ -3,8 +3,10 @@ unraveling generator identity, ensemble-vs-exact agreement, equivalence of
 different unravelings, and complete-positivity detection, plus a suite
 runner with first-class expected-failure (fault-injection) entries.
 
-The fault injectors deliberately break the drift or diffusion construction;
-a harness in which they still pass is itself broken.
+Fault injection is a flag on the unraveling (``Unraveling(..., fault=...)``)
+that deliberately breaks the one drift/diffusion function every path calls,
+so a fault run goes through the same integrator, thread pool and reduction
+as a clean one; a harness in which a fault still passes is itself broken.
 """
 
 import hashlib
@@ -146,42 +148,24 @@ def random_freedom(rng, n_ops):
 # ---------------------------------------------------------------------------
 # deterministic checks
 
-def generator_deviation(u, psi, fault=None):
+def generator_deviation(u, psi):
     """Max-entry deviation of the one-step generator from the Lindblad RHS.
 
-    fault: None, "drop_ell2" (omit the -|ell|^2/2 drift term) or
-    "zero_ell_in_B" (noise vectors L psi instead of L psi - ell psi).
+    Nonzero beyond rounding only when u carries an injected fault.
     """
-    rho = hilbert.outer(psi, psi)
-    rhs = lindblad.lindblad_rhs(u.model, rho)
-    gen = generator_term(u, psi)
-    if fault == "drop_ell2":
-        extra = 0.0
-        for Lk in u.rotated:
-            lk = float(np.real(np.vdot(psi, Lk @ psi)))
-            extra += 0.5 * lk * lk
-        gen = gen + 2.0 * extra * rho
-    elif fault == "zero_ell_in_B":
-        for Lk in u.rotated:
-            Lpsi = Lk @ psi
-            lk = float(np.real(np.vdot(psi, Lpsi)))
-            B = Lpsi - lk * psi
-            gen = gen - hilbert.outer(B, B) + hilbert.outer(Lpsi, Lpsi)
-    elif fault is not None:
-        raise ValueError(f"unknown fault {fault!r}")
-    return float(np.max(np.abs(gen - rhs)))
+    rhs = lindblad.lindblad_rhs(u.model, hilbert.outer(psi, psi))
+    return float(np.max(np.abs(generator_term(u, psi) - rhs)))
 
 
 def check_generator_identity(model, freedom, samples=100, seed=0, fault=None,
                              tolerance=1e-10):
     """Non-statistical check of the generator identity at random unit states."""
     t0 = time.perf_counter()
-    u = Unraveling(model, freedom)
+    u = Unraveling(model, freedom, fault=fault)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        worst = max(worst, generator_deviation(u, random_state(rng, u.dim),
-                                               fault=fault))
+        worst = max(worst, generator_deviation(u, random_state(rng, u.dim)))
     return VerificationReport(
         name="generator-identity",
         passed=worst <= tolerance,
@@ -230,66 +214,17 @@ def check_complete_positivity(gks, times, tolerance=1e-10):
 # ---------------------------------------------------------------------------
 # statistical checks
 
-def _checkpoint_steps(checkpoints, dt):
+def _checkpoint_steps(checkpoints, cfg):
     steps = []
     for t in checkpoints:
-        k = int(round(t / dt))
-        if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"checkpoint {t} is not a multiple of dt={dt}")
+        k = int(round(t / cfg.dt))
+        if abs(k * cfg.dt - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"checkpoint {t} is not a multiple of dt={cfg.dt}")
+        if k > cfg.n_steps:
+            raise ValueError(f"checkpoint {t} is past t_final={cfg.t_final}")
         if k > 0:
             steps.append(k)
     return np.asarray(sorted(set(steps)), dtype=np.int64)
-
-
-def _faulty_rho(u, psi0, cfg, n_trajectories, steps_wanted, fault,
-                chunk_size=256):
-    """Ensemble density matrix under an injected drift/diffusion fault.
-
-    Runs without renormalization (a parallel-drift fault would otherwise be
-    projected away) and averages the raw projectors.
-    """
-    K = -1j * u.model.hamiltonian - 0.5 * u.ldag_l_sum
-    rotated = [np.ascontiguousarray(L) for L in u.rotated]
-    n_steps = cfg.n_steps
-    d = u.dim
-    R = len(steps_wanted)
-    rho_sum = np.zeros((R, d, d), dtype=complex)
-    start = 0
-    while start < n_trajectories:
-        count = min(chunk_size, n_trajectories - start)
-        dW = np.empty((count, n_steps, u.noise_count))
-        for i in range(count):
-            rng = sde.trajectory_rng(cfg.seed, start + i)
-            dW[i] = rng.normal(0.0, math.sqrt(cfg.dt),
-                               size=(n_steps, u.noise_count))
-        psi = np.broadcast_to(psi0, (count, d)).copy()
-        recorded = np.zeros((count, R, d), dtype=complex)
-        rec = 0
-        for s in range(n_steps):
-            new = psi + cfg.dt * (psi @ K.T)
-            # functionals on the normalized state: keeps the faulty (trace
-            # non-preserving) dynamics integrable instead of blowing up
-            nrm2 = np.sum(np.abs(psi) ** 2, axis=1)
-            psih = psi / np.sqrt(nrm2)[:, None]
-            for k, Lk in enumerate(rotated):
-                Lpsi = psi @ Lk.T
-                lk = np.sum(np.conj(psih) * (psih @ Lk.T), axis=1).real
-                drift = lk[:, None] * Lpsi
-                if fault != "drop_ell2":
-                    drift = drift - 0.5 * (lk * lk)[:, None] * psi
-                new += cfg.dt * drift
-                if fault == "zero_ell_in_B":
-                    noise = Lpsi
-                else:
-                    noise = Lpsi - lk[:, None] * psi
-                new += dW[:, s, k][:, None] * noise
-            psi = new
-            if rec < R and s + 1 == steps_wanted[rec]:
-                recorded[:, rec] = psi
-                rec += 1
-        rho_sum += sde.projector_sum(recorded)
-        start += count
-    return rho_sum / n_trajectories
 
 
 def check_ensemble_vs_exact(model, freedom, psi0, cfg, n_trajectories,
@@ -298,7 +233,7 @@ def check_ensemble_vs_exact(model, freedom, psi0, cfg, n_trajectories,
     exponential of the Liouvillian at every checkpoint."""
     t0 = time.perf_counter()
     u = Unraveling(model, freedom)
-    steps = _checkpoint_steps(checkpoints, cfg.dt)
+    steps = _checkpoint_steps(checkpoints, cfg)
     est = sde.simulate_ensemble(u, psi0, cfg, n_trajectories, threads=threads,
                                 record_steps=steps)
     rho0 = hilbert.outer(psi0, psi0)
@@ -339,19 +274,21 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
         raise ValueError("need at least two freedoms to compare")
     if faults is None:
         faults = [None] * len(freedoms)
-    steps = _checkpoint_steps([t], cfg.dt)
+    if len(faults) != len(freedoms):
+        raise ValueError(f"{len(faults)} faults given for {len(freedoms)} "
+                         f"freedoms")
+    unravelings = [Unraveling(model, f, fault=x)
+                   for f, x in zip(freedoms, faults)]
+    steps = _checkpoint_steps([t], cfg)
     rhos = []
-    for i, freedom in enumerate(freedoms):
-        u = Unraveling(model, freedom)
+    for i, u in enumerate(unravelings):
         # distinct sub-seed per entry so ensembles are independent draws
         cfg_i = replace(cfg, seed=(cfg.seed + 7919 * i) % 2 ** 64)
-        if faults[i] is None:
-            est = sde.simulate_ensemble(u, psi0, cfg_i, n_trajectories,
-                                        threads=threads, record_steps=steps)
-            rhos.append(est.rho_hat[-1])
-        else:
-            rhos.append(_faulty_rho(u, psi0, cfg_i, n_trajectories, steps,
-                                    faults[i])[-1])
+        if u.fault is not None:
+            cfg_i = replace(cfg_i, renormalize=False)
+        est = sde.simulate_ensemble(u, psi0, cfg_i, n_trajectories,
+                                    threads=threads, record_steps=steps)
+        rhos.append(est.rho_hat[-1])
     tol = statistical_tolerance(n_trajectories, cfg.dt, model.dim)
     exact = lindblad.propagate_exact(model, hilbert.outer(psi0, psi0), t)
     pairwise = {}
@@ -371,8 +308,7 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
         seconds=time.perf_counter() - t0,
         config_hash=config_hash({
             "check": "unraveling-equivalence", "model": _model_config(model),
-            "freedoms": [_freedom_config(Unraveling(model, f).freedom)
-                         for f in freedoms],
+            "freedoms": [_freedom_config(u.freedom) for u in unravelings],
             "faults": faults, "psi0": complex_to_pairs(psi0),
             "integration": _cfg_config(cfg),
             "n_trajectories": n_trajectories, "t": t}),
@@ -389,12 +325,43 @@ def _entry_scenario(entry):
         raise ScenarioError(f"check {entry.get('check', '?')!r}: {exc}") from None
 
 
+def _run_check(kind, entry, threads):
+    if kind == "generator-identity":
+        sc = _entry_scenario(entry)
+        return check_generator_identity(
+            sc.model(), sc.freedom_spec,
+            samples=int(entry.get("samples", 100)),
+            seed=int(entry.get("seed", 0)),
+            fault=entry.get("fault"))
+    if kind == "ensemble-vs-exact":
+        sc = _entry_scenario(entry)
+        return check_ensemble_vs_exact(
+            sc.model(), sc.freedom_spec, sc.psi0, sc.integration,
+            sc.trajectories, sc.checkpoints, threads=threads)
+    if kind == "unraveling-equivalence":
+        sc = _entry_scenario(entry)
+        freedoms = entry.get("freedoms", [sc.freedom_spec])
+        return check_unraveling_equivalence(
+            sc.model(), freedoms, sc.psi0, sc.integration,
+            sc.trajectories, float(entry["t"]),
+            faults=entry.get("faults"), threads=threads)
+    if kind == "complete-positivity":
+        sc = _entry_scenario(entry)
+        if sc.gks is None:
+            raise ScenarioError("complete-positivity check needs a gks block")
+        return check_complete_positivity(
+            sc.gks, [float(t) for t in entry.get("times", [0.1, 1.0])])
+    raise ScenarioError(f"unknown check type {kind!r}")
+
+
 def run_suite(config, threads=1):
     """Execute the named checks of a suite configuration in declared order.
 
     config is a dict (or a path to a JSON file) with a "checks" list; each
     entry combines scenario fields with "check" and optional "expect"
-    ("pass" by default, "fail" for fault-injection entries).
+    ("pass" by default, "fail" for fault-injection entries).  An entry the
+    checks reject as input (an unknown fault, a faults list that does not
+    match the freedoms, a checkpoint off the step grid) raises ScenarioError.
     """
     if isinstance(config, (str, bytes)) or hasattr(config, "__fspath__"):
         with open(config) as fh:
@@ -407,35 +374,15 @@ def run_suite(config, threads=1):
     reports = []
     for entry in config.get("checks", []):
         kind = entry.get("check")
-        expect = entry.get("expect", "pass")
-        if kind == "generator-identity":
-            sc = _entry_scenario(entry)
-            report = check_generator_identity(
-                sc.model(), sc.freedom_spec,
-                samples=int(entry.get("samples", 100)),
-                seed=int(entry.get("seed", 0)),
-                fault=entry.get("fault"))
-        elif kind == "ensemble-vs-exact":
-            sc = _entry_scenario(entry)
-            report = check_ensemble_vs_exact(
-                sc.model(), sc.freedom_spec, sc.psi0, sc.integration,
-                sc.trajectories, sc.checkpoints, threads=threads)
-        elif kind == "unraveling-equivalence":
-            sc = _entry_scenario(entry)
-            freedoms = entry.get("freedoms", [sc.freedom_spec])
-            report = check_unraveling_equivalence(
-                sc.model(), freedoms, sc.psi0, sc.integration,
-                sc.trajectories, float(entry["t"]),
-                faults=entry.get("faults"), threads=threads)
-        elif kind == "complete-positivity":
-            sc = _entry_scenario(entry)
-            if sc.gks is None:
-                raise ScenarioError("complete-positivity check needs a gks block")
-            report = check_complete_positivity(
-                sc.gks, [float(t) for t in entry.get("times", [0.1, 1.0])])
-        else:
-            raise ScenarioError(f"unknown check type {kind!r}")
-        report.expect = expect
+        try:
+            report = _run_check(kind, entry, threads)
+        except ValueError as exc:
+            # plain ValueError is input validation; ScenarioError and
+            # LinAlgError are subclasses and pass through unchanged
+            if type(exc) is not ValueError:
+                raise
+            raise ScenarioError(f"check {kind!r}: {exc}") from None
+        report.expect = entry.get("expect", "pass")
         reports.append(report)
     return reports
 

@@ -1,133 +1,93 @@
-"""Tests for the stepping kernels: backend agreement, recording, blow-up."""
+"""Tests for the stepping kernel: the reference step with and without
+faults, recording, blow-up."""
 
 import numpy as np
 import pytest
 
-from qunravel import kernels
 from qunravel.hilbert import SIGMA_Z
-from qunravel.kernels import active_backend, simulate_chunk
+from qunravel.kernels import simulate_chunk
 from qunravel.lindblad import LindbladModel
 from qunravel.unraveling import Unraveling
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba not installed")
-
 
 def dephasing_inputs(batch=8, steps=50, dt=1e-2, seed=0):
     u = Unraveling(LindbladModel(np.zeros((2, 2)), (SIGMA_Z,)), "standard")
-    K = -1j * u.model.hamiltonian - 0.5 * u.ldag_l_sum
-    rotated = np.array(u.rotated)
     rng = np.random.default_rng(seed)
     dW = rng.normal(0.0, np.sqrt(dt), size=(batch, steps, 1))
-    return PLUS, K, rotated, dt, dW
+    return PLUS, u.K, u.rotated, dt, dW
 
 
-def reference_step(psi, K, rotated, dt, dw, renormalize):
-    """Direct transcription of the kernel contract, one step, one trajectory."""
+def reference_step(psi, K, rotated, dt, dw, renormalize, fault=None):
+    """Direct transcription of the kernel contract, one step, one trajectory.
+
+    Under a fault the functionals are taken on the normalized state."""
+    phi = psi / np.linalg.norm(psi) if fault is not None else psi
     new = psi + dt * (K @ psi)
     for k in range(rotated.shape[0]):
         Lpsi = rotated[k] @ psi
-        lk = np.real(np.vdot(psi, Lpsi))
-        new = new + dt * (lk * Lpsi - 0.5 * lk * lk * psi)
-        new = new + dw[k] * (Lpsi - lk * psi)
+        lk = np.real(np.vdot(phi, rotated[k] @ phi))
+        new = new + dt * lk * Lpsi
+        if fault != "drop_ell2":
+            new = new - dt * 0.5 * lk * lk * psi
+        if fault == "zero_ell_in_B":
+            new = new + dw[k] * Lpsi
+        else:
+            new = new + dw[k] * (Lpsi - lk * psi)
     if renormalize:
         new = new / np.linalg.norm(new)
     return new
 
 
-@pytest.mark.parametrize("renormalize", [True, False])
-def test_numpy_kernel_matches_reference_loop(renormalize):
+@pytest.mark.parametrize("fault, renormalize", [
+    pytest.param(None, False, id="False"),
+    pytest.param(None, True, id="True"),
+    pytest.param("drop_ell2", False, id="drop_ell2-False"),
+    pytest.param("zero_ell_in_B", False, id="zero_ell_in_B-False"),
+])
+def test_numpy_kernel_matches_reference_loop(fault, renormalize):
     psi0, K, rotated, dt, dW = dephasing_inputs(batch=3, steps=20)
     record = np.arange(1, 21, dtype=np.int64)
     states, drift_max, drift_mean, status = simulate_chunk(
-        psi0, K, rotated, dt, dW, renormalize, record, backend="numpy")
+        psi0, K, rotated, dt, dW, renormalize, record, fault=fault)
     assert not status.any()
     for b in range(3):
         psi = psi0.copy()
         for s in range(20):
-            psi = reference_step(psi, K, rotated, dt, dW[b, s], renormalize)
+            psi = reference_step(psi, K, rotated, dt, dW[b, s], renormalize,
+                                 fault)
             assert np.allclose(states[b, s], psi, atol=1e-13)
     assert np.all(drift_max >= drift_mean)
     assert np.all(drift_mean > 0)
 
 
-@needs_numba
-def test_backends_agree_bitwise():
-    psi0, K, rotated, dt, dW = dephasing_inputs(batch=16, steps=200)
-    record = np.array([50, 200], dtype=np.int64)
-    out_np = simulate_chunk(psi0, K, rotated, dt, dW, True, record,
-                            backend="numpy")
-    out_nb = simulate_chunk(psi0, K, rotated, dt, dW, True, record,
-                            backend="numba")
-    assert np.array_equal(out_np[0], out_nb[0])
-    assert np.array_equal(out_np[1], out_nb[1])
-    assert np.array_equal(out_np[2], out_nb[2])
-    assert np.array_equal(out_np[3], out_nb[3])
-
-
-@needs_numba
-def test_backends_agree_bitwise_multi_noise_dim3():
-    rng = np.random.default_rng(5)
-    ops = tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-                for _ in range(2))
-    H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    u = Unraveling(LindbladModel(0.5 * (H + H.conj().T), ops), "standard")
-    psi0 = np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
-    K = -1j * u.model.hamiltonian - 0.5 * u.ldag_l_sum
-    rotated = np.array(u.rotated)
-    dW = rng.normal(0.0, 0.01, size=(8, 100, 2))
-    record = np.array([100], dtype=np.int64)
-    out_np = simulate_chunk(psi0, K, rotated, 1e-4, dW, True, record,
-                            backend="numpy")
-    out_nb = simulate_chunk(psi0, K, rotated, 1e-4, dW, True, record,
-                            backend="numba")
-    # BLAS vs sequential summation order costs a few ulps here, so the
-    # cross-backend contract is tight-tolerance agreement, not bit equality
-    assert np.allclose(out_np[0], out_nb[0], atol=1e-12, rtol=0)
-    assert np.allclose(out_np[1], out_nb[1], atol=1e-12, rtol=0)
-
-
 def test_recording_selects_requested_steps():
     psi0, K, rotated, dt, dW = dephasing_inputs(batch=2, steps=30)
     full = simulate_chunk(psi0, K, rotated, dt, dW, True,
-                          np.arange(1, 31, dtype=np.int64), backend="numpy")
+                          np.arange(1, 31, dtype=np.int64))
     sparse = simulate_chunk(psi0, K, rotated, dt, dW, True,
-                            np.array([10, 30], dtype=np.int64), backend="numpy")
+                            np.array([10, 30], dtype=np.int64))
     assert np.array_equal(sparse[0][:, 0], full[0][:, 9])
     assert np.array_equal(sparse[0][:, 1], full[0][:, 29])
 
 
-@pytest.mark.parametrize("backend",
-                         ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else []))
-def test_blowup_sets_status_flag(backend):
+def test_blowup_sets_status_flag():
     # K = -I/dt sends psi to exactly zero in one Euler step, which must trip
-    # the norm floor regardless of backend
+    # the norm floor and freeze the last state
     K = -np.eye(2, dtype=complex)
     rotated = np.zeros((0, 2, 2), dtype=complex)
     dW = np.zeros((1, 3, 0))
-    _, _, _, status = simulate_chunk(PLUS, K, rotated, 1.0, dW, False,
-                                     np.array([3], dtype=np.int64),
-                                     backend=backend)
+    states, _, _, status = simulate_chunk(PLUS, K, rotated, 1.0, dW, False,
+                                          np.array([3], dtype=np.int64))
     assert status[0] == 1
-
-
-def test_active_backend_env_override(monkeypatch):
-    monkeypatch.setenv("QUNRAVEL_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("QUNRAVEL_BACKEND", "")
-    assert active_backend() in ("numba", "numpy")
-    if kernels.HAVE_NUMBA:
-        monkeypatch.setenv("QUNRAVEL_BACKEND", "numba")
-        assert active_backend() == "numba"
+    assert np.array_equal(states[0, 0], PLUS)
 
 
 def test_renormalized_states_have_unit_norm():
     psi0, K, rotated, dt, dW = dephasing_inputs(batch=4, steps=100)
     states, _, _, status = simulate_chunk(psi0, K, rotated, dt, dW, True,
-                                          np.array([100], dtype=np.int64),
-                                          backend="numpy")
+                                          np.array([100], dtype=np.int64))
     assert not status.any()
     norms = np.sum(np.abs(states[:, 0]) ** 2, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)

@@ -5,13 +5,18 @@ import pytest
 
 from qunravel.hilbert import SIGMA_Z, normalize, outer
 from qunravel.lindblad import LindbladModel
-from qunravel.observables import (born_statistics, born_weights,
-                                  diffusion_matrix, projective_collapse,
-                                  spectral_sectors, variance, variance_drift)
+from qunravel.observables import (born_statistics, diffusion_matrix,
+                                  projective_collapse, spectral_sectors,
+                                  variance, variance_drift)
 from qunravel.unraveling import UnitaryFreedom, Unraveling
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+
+def born_weights(psi, projectors):
+    """p_n = ||P_n psi||^2."""
+    return np.array([float(np.real(np.vdot(psi, P @ psi))) for P in projectors])
 
 
 def test_variance_oracle_values():

@@ -8,12 +8,18 @@ from qunravel import sde
 from qunravel.hilbert import SIGMA_Z
 from qunravel.lindblad import LindbladModel
 from qunravel.sde import (IntegrationConfig, NormBlowupError, simulate_ensemble,
-                          simulate_trajectory, step, trajectory_rng,
-                          wiener_increments)
+                          simulate_trajectory, step, trajectory_rng)
 from qunravel.unraveling import Unraveling
 
 DEPHASING = Unraveling(LindbladModel(np.zeros((2, 2)), (SIGMA_Z,)), "standard")
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+
+def wiener_increments(rng, n, dt):
+    """n independent Gaussian increments with mean 0 and variance dt."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return rng.normal(0.0, np.sqrt(dt), size=n)
 
 
 def test_integration_config_validation():
@@ -165,6 +171,10 @@ def test_record_steps_override():
                             record_steps=[50, 100])
     assert np.allclose(est.times, [0.5, 1.0])
     assert est.rho_hat.shape == (2, 2, 2)
+    # past n_steps, not strictly increasing, or before the first step
+    for bad in ([50, 101], [50, 50], [60, 50], [0, 50], []):
+        with pytest.raises(ValueError, match="record_steps"):
+            simulate_ensemble(DEPHASING, PLUS, cfg, 4, record_steps=bad)
 
 
 def test_dw_chunks_reproduce_default_streams():

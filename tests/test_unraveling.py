@@ -9,11 +9,16 @@ from qunravel import hilbert, lindblad
 from qunravel.hilbert import SIGMA_X, SIGMA_Z, dagger, normalize
 from qunravel.lindblad import LindbladModel
 from qunravel.unraveling import (DIOSI_COMPLEX_U, UnitaryFreedom, Unraveling,
-                                 diffusion_vectors, drift_vector, ell,
+                                 diffusion_vectors, drift_vector,
                                  generator_term, parse_freedom, standard_freedom)
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+
+def ell(psi, Lk):
+    """(1/2)<psi, (L^dag + L) psi> = Re <psi, L psi>; real in the zero gauge."""
+    return float(np.real(np.vdot(psi, Lk @ psi)))
 
 
 def random_state(rng, d):

@@ -57,14 +57,35 @@ def test_random_model_and_state_are_well_formed():
 
 
 def test_generator_deviation_clean_vs_faulty():
-    u = Unraveling(DEPHASING, "diosi-complex")
     rng = np.random.default_rng(2)
     psi = random_state(rng, 2)
-    assert generator_deviation(u, psi) < 1e-13
-    assert generator_deviation(u, psi, fault="drop_ell2") > 1e-3
-    assert generator_deviation(u, psi, fault="zero_ell_in_B") > 1e-3
+    assert generator_deviation(Unraveling(DEPHASING, "diosi-complex"),
+                               psi) < 1e-13
+    for fault in ("drop_ell2", "zero_ell_in_B"):
+        u = Unraveling(DEPHASING, "diosi-complex", fault=fault)
+        assert generator_deviation(u, psi) > 1e-3
     with pytest.raises(ValueError, match="unknown fault"):
-        generator_deviation(u, psi, fault="nope")
+        Unraveling(DEPHASING, "diosi-complex", fault="nope")
+    # the ensemble path and the suite runner reject it before simulating
+    cfg = IntegrationConfig(dt=1e-3, t_final=0.1, seed=8, renormalize=False)
+    with pytest.raises(ValueError, match="unknown fault"):
+        check_unraveling_equivalence(DEPHASING, ["standard", "standard"],
+                                     PLUS, cfg, 10, 0.1,
+                                     faults=[None, "drop_ell"])
+    with pytest.raises(ValueError, match="1 faults given for 2 freedoms"):
+        check_unraveling_equivalence(DEPHASING, ["standard", "standard"],
+                                     PLUS, cfg, 10, 0.1, faults=[None])
+    entry = {"check": "unraveling-equivalence", "dim": 2,
+             "hamiltonian": complex_to_pairs(np.zeros((2, 2))),
+             "lindblad_ops": [complex_to_pairs(SIGMA_Z)],
+             "freedoms": ["standard", "standard"],
+             "psi0": complex_to_pairs(PLUS),
+             "integration": {"dt": 1e-3, "t_final": 0.1, "seed": 8},
+             "trajectories": 10, "t": 0.1, "expect": "fail"}
+    for faults, message in (([None, "drop_ell"], "unknown fault"),
+                            ([None], "faults given")):
+        with pytest.raises(ScenarioError, match=message):
+            run_suite({"checks": [dict(entry, faults=faults)]})
 
 
 def test_check_generator_identity_report():
@@ -105,6 +126,9 @@ def test_check_ensemble_vs_exact_rejects_off_grid_checkpoint():
     cfg = IntegrationConfig(dt=1e-3, t_final=0.5, seed=4)
     with pytest.raises(ValueError, match="multiple of dt"):
         check_ensemble_vs_exact(DEPHASING, "standard", PLUS, cfg, 10, [0.2505])
+    with pytest.raises(ValueError, match="checkpoint 1.0 is past t_final=0.5"):
+        check_ensemble_vs_exact(DEPHASING, "standard", PLUS, cfg, 10,
+                                [0.25, 1.0])
 
 
 def test_check_unraveling_equivalence_clean():
@@ -127,6 +151,16 @@ def test_fault_injection_is_detected(fault):
     assert not report.passed   # the injected fault must break agreement
     report.expect = "fail"
     assert report.ok
+
+
+def test_fault_run_is_thread_count_invariant():
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.5, seed=8, renormalize=False)
+    runs = [check_unraveling_equivalence(
+                DEPHASING, ["standard", "standard"], PLUS, cfg, 600, 0.5,
+                faults=["drop_ell2", "zero_ell_in_B"],
+                threads=threads).measured
+            for threads in (1, 2)]
+    assert runs[0] == runs[1]
 
 
 def test_run_suite_dispatch_and_expected_failures():
