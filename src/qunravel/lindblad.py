@@ -220,18 +220,15 @@ def propagate_exact(model, rho0, t, rates=None):
 
 
 def _choi_from_propagator(P, d):
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            out = unvec(P @ vec(unit), d)
-            choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = out
-    return choi
+    # Block (i, j) is the image of |i><j|, i.e. column i + j d of P unvec'd:
+    # choi[i d + a, j d + b] = P[a + b d, i + j d].
+    return (P.reshape(d, d, d, d, order="F").transpose(2, 0, 3, 1)
+            .reshape(d * d, d * d))
 
 
 def choi_matrix(model, t, rates=None):
-    """Choi matrix of exp(t L), built by propagating each matrix unit |i><j|.
+    """Choi matrix of exp(t L): block (i, j) is the image of |i><j|, read off
+    the propagator by reshuffling its indices.
 
     Hermitian with trace d; positive semidefinite iff the channel is CP.
     """

@@ -6,6 +6,13 @@ stream keyed by (seed, i), so the stream is a pure function of the pair and
 trajectories can be executed in any order or on any number of threads
 without changing a single bit of the result.  Each chunk of trajectories is
 reduced to one projector sum, and the chunk sums are added in chunk order.
+
+Chunks are the unit of determinism; execution batches are the unit of work.
+Consecutive whole chunks run together as one kernel call of about
+``_BATCH`` trajectories, which draws its increments one step block at a time
+and adds each chunk's projectors into that chunk's sum at every record step,
+so neither the (batch, steps, N) increments nor the (batch, R, d) states are
+ever held unless the caller asks to keep the states.
 """
 
 import math
@@ -19,16 +26,26 @@ from .tolerances import TOL
 from .unraveling import Unraveling
 
 _DEFAULT_CHUNK = 256
+# trajectories per kernel call; a batch is made of whole chunks, at least one
+_BATCH = 1024
 
 
 class NormBlowupError(RuntimeError):
-    """Raised when a pre-renormalization norm falls below the blow-up floor."""
+    """Raised when a pre-renormalization norm falls below the blow-up floor.
 
-    def __init__(self, trajectory_index):
-        self.trajectory_index = trajectory_index
+    ``trajectory_indices`` lists every blown-up trajectory in ascending
+    order; ``trajectory_index`` is the first of them.
+    """
+
+    def __init__(self, trajectory_indices):
+        self.trajectory_indices = [int(i) for i in
+                                   np.atleast_1d(trajectory_indices)]
+        self.trajectory_index = self.trajectory_indices[0]
+        n = len(self.trajectory_indices)
         super().__init__(
-            f"state norm collapsed below {TOL.blowup_norm} in trajectory "
-            f"{trajectory_index}; the step size is too large")
+            f"state norm collapsed below {TOL.blowup_norm} in {n} "
+            f"trajector{'y' if n == 1 else 'ies'} (first: "
+            f"{self.trajectory_index}); the step size is too large")
 
 
 @dataclass(frozen=True)
@@ -100,6 +117,32 @@ def trajectory_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _Increments:
+    """Wiener increments of trajectories [start, start+count) as a lazy
+    (count, steps, N) array: ``dW[:, s0:s1]`` draws steps s0..s1-1 from each
+    trajectory's Philox stream.  Blocks must be read in order, once each;
+    each draw continues the stream, so the blocks equal one (steps, N) draw
+    bit for bit."""
+
+    def __init__(self, seed, start, count, steps, noise_count, dt):
+        self.shape = (count, steps, noise_count)
+        self._scale = math.sqrt(dt)
+        self._rngs = [trajectory_rng(seed, start + i) for i in range(count)]
+        self._next = 0
+
+    def __getitem__(self, key):
+        rows, cols = key
+        if rows != slice(None) or (cols.start or 0) != self._next:
+            raise IndexError("increments are drawn in order, one step block "
+                             "at a time")
+        stop = min(cols.stop, self.shape[1])
+        block = np.empty((self.shape[0], stop - self._next, self.shape[2]))
+        for i, rng in enumerate(self._rngs):
+            block[i] = rng.normal(0.0, self._scale, size=block.shape[1:])
+        self._next = stop
+        return block
+
+
 def projector_sum(states):
     """Sum of |psi><psi| over a batch, per record: (count, R, d) -> (R, d, d).
 
@@ -123,24 +166,16 @@ def step(u, psi, dt, dW, renormalize=True):
     return states[0, 0]
 
 
-def _run_chunk(u, psi0, cfg, start, count, record_steps, dW_override=None):
-    """Simulate trajectories [start, start+count) and return their states."""
-    if dW_override is not None:
-        dW = dW_override
-    else:
-        steps = cfg.n_steps
-        dW = np.empty((count, steps, u.noise_count))
-        for i in range(count):
-            rng = trajectory_rng(cfg.seed, start + i)
-            dW[i] = rng.normal(0.0, math.sqrt(cfg.dt),
-                               size=(steps, u.noise_count))
-    states, drift_max, drift_mean, status = kernels.simulate_chunk(
-        psi0, u.K, u.rotated, cfg.dt, dW, cfg.renormalize, record_steps,
-        fault=u.fault)
-    bad = np.nonzero(status)[0]
-    if bad.size:
-        raise NormBlowupError(start + int(bad[0]))
-    return states, drift_max, drift_mean
+def _simulate(u, psi0, cfg, start, count, record_steps, dW=None,
+              on_record=None):
+    """Run trajectories [start, start+count) through the kernel, on their
+    Philox streams unless dW is given; returns the kernel's tuple."""
+    if dW is None:
+        dW = _Increments(cfg.seed, start, count, cfg.n_steps, u.noise_count,
+                         cfg.dt)
+    return kernels.simulate_chunk(psi0, u.K, u.rotated, cfg.dt, dW,
+                                  cfg.renormalize, record_steps,
+                                  fault=u.fault, on_record=on_record)
 
 
 def simulate_trajectory(u, psi0, cfg, trajectory_index=0):
@@ -151,8 +186,10 @@ def simulate_trajectory(u, psi0, cfg, trajectory_index=0):
     if not hilbert.is_normalized(psi0):
         raise ValueError("psi0 must be normalized")
     record_steps = cfg.record_steps()
-    states, drift_max, drift_mean = _run_chunk(u, psi0, cfg, trajectory_index,
-                                               1, record_steps)
+    states, drift_max, drift_mean, status = _simulate(
+        u, psi0, cfg, trajectory_index, 1, record_steps)
+    if status[0]:
+        raise NormBlowupError(trajectory_index)
     times = np.concatenate(([0.0], record_steps * cfg.dt))
     all_states = np.vstack(([psi0], states[0]))
     return Trajectory(times=times, states=all_states,
@@ -168,6 +205,9 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     The result is bitwise independent of `threads`: trajectory i always uses
     the Philox stream keyed by (seed, i), chunk boundaries depend only on
     `chunk_size`, and per-chunk projector sums are reduced in chunk order.
+    The thread pool maps over execution batches of whole chunks, which
+    change how much runs per kernel call but no trajectory's arithmetic.
+    A norm blow-up raises NormBlowupError naming every blown-up trajectory.
 
     dW_chunks optionally supplies pregenerated increments per chunk (used by
     the step-size consistency checks to couple runs across dt levels);
@@ -176,6 +216,8 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     psi0 = hilbert.as_state(psi0, dim=u.dim)
     if not hilbert.is_normalized(psi0):
         raise ValueError("psi0 must be normalized")
@@ -192,44 +234,56 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     R = record_steps.size
     d = u.dim
 
-    chunks = []
-    start = 0
-    while start < n_trajectories:
-        count = min(chunk_size, n_trajectories - start)
-        chunks.append((start, count))
-        start += count
-    if dW_chunks is not None and len(dW_chunks) != len(chunks):
+    # chunk c holds trajectories [edges[c], edges[c+1]); a batch is a run of
+    # whole chunks [c0, c1)
+    edges = list(range(0, n_trajectories, chunk_size)) + [n_trajectories]
+    n_chunks = len(edges) - 1
+    if dW_chunks is not None and len(dW_chunks) != n_chunks:
         raise ValueError("dW_chunks must match the chunk layout")
+    per_batch = max(1, _BATCH // chunk_size)
+    batches = [(c0, min(c0 + per_batch, n_chunks))
+               for c0 in range(0, n_chunks, per_batch)]
 
-    def work(item):
-        # Reduce inside the worker so that a chunk's states are freed as soon
-        # as the chunk is done, unless the caller keeps them.
-        idx, (lo, count) = item
-        dW = None if dW_chunks is None else dW_chunks[idx]
-        states, dmax, dmean = _run_chunk(u, psi0, cfg, lo, count, record_steps,
-                                         dW_override=dW)
-        return (projector_sum(states), states[:, -1, :].copy(), dmax, dmean,
-                states if keep_states else None)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, enumerate(chunks)))
-    else:
-        results = [work(item) for item in enumerate(chunks)]
-
-    rho_sum = np.zeros((R, d, d), dtype=complex)
     drifts = np.zeros(n_trajectories)
     drift_means = np.zeros(n_trajectories)
     finals = np.empty((n_trajectories, d), dtype=complex)
     kept = np.empty((n_trajectories, R, d), dtype=complex) if keep_states else None
-    # chunk order, whatever the thread count
-    for (lo, count), (partial, final, dmax, dmean, states) in zip(chunks, results):
-        rho_sum += partial
-        finals[lo:lo + count] = final
-        if keep_states:
-            kept[lo:lo + count] = states
-        drifts[lo:lo + count] = dmax
-        drift_means[lo:lo + count] = dmean
+
+    def work(batch):
+        # Each chunk's projectors are summed at every record step, so that a
+        # batch holds its (R, d, d) partial sums but never its states.
+        c0, c1 = batch
+        lo, hi = edges[c0], edges[c1]
+        rows = [(edges[c] - lo, edges[c + 1] - lo) for c in range(c0, c1)]
+        partials = np.empty((c1 - c0, R, d, d), dtype=complex)
+
+        def on_record(r, psi):
+            for c, (a, b) in enumerate(rows):
+                partials[c, r] = projector_sum(psi[a:b, None, :])[0]
+            if keep_states:
+                kept[lo:hi, r] = psi
+            if r == R - 1:
+                finals[lo:hi] = psi
+
+        dW = None
+        if dW_chunks is not None:
+            dW = np.concatenate([dW_chunks[c] for c in range(c0, c1)])
+        _, drifts[lo:hi], drift_means[lo:hi], status = _simulate(
+            u, psi0, cfg, lo, hi - lo, record_steps, dW, on_record)
+        return partials, lo + np.nonzero(status)[0]
+
+    rho_sum = np.zeros((R, d, d), dtype=complex)
+    blown = []
+    # the pool starts its threads on first use, so threads=1 starts none
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        results = pool.map(work, batches) if threads > 1 else map(work, batches)
+        # batch order, then chunk order within each, whatever the thread count
+        for partials, bad in results:
+            for partial in partials:
+                rho_sum += partial
+            blown.extend(bad)
+    if blown:
+        raise NormBlowupError(blown)
 
     rho_hat = rho_sum / n_trajectories
     # For unit-norm projectors E||P||_F^2 = 1, so the Frobenius-scale Monte

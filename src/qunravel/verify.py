@@ -217,13 +217,15 @@ def check_complete_positivity(gks, times, tolerance=1e-10):
 def _checkpoint_steps(checkpoints, cfg):
     steps = []
     for t in checkpoints:
+        if t <= 0:
+            raise ValueError(f"checkpoint {t} is not positive; the ensemble "
+                             f"starts from psi0 at t=0")
         k = int(round(t / cfg.dt))
         if abs(k * cfg.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"checkpoint {t} is not a multiple of dt={cfg.dt}")
         if k > cfg.n_steps:
             raise ValueError(f"checkpoint {t} is past t_final={cfg.t_final}")
-        if k > 0:
-            steps.append(k)
+        steps.append(k)
     return np.asarray(sorted(set(steps)), dtype=np.int64)
 
 
@@ -361,7 +363,8 @@ def run_suite(config, threads=1):
     entry combines scenario fields with "check" and optional "expect"
     ("pass" by default, "fail" for fault-injection entries).  An entry the
     checks reject as input (an unknown fault, a faults list that does not
-    match the freedoms, a checkpoint off the step grid) raises ScenarioError.
+    match the freedoms, a checkpoint off the step grid or not positive)
+    raises ScenarioError.
     """
     if isinstance(config, (str, bytes)) or hasattr(config, "__fspath__"):
         with open(config) as fh:

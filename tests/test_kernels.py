@@ -4,6 +4,7 @@ faults, recording, blow-up."""
 import numpy as np
 import pytest
 
+from qunravel import kernels
 from qunravel.hilbert import SIGMA_Z
 from qunravel.kernels import simulate_chunk
 from qunravel.lindblad import LindbladModel
@@ -70,6 +71,38 @@ def test_recording_selects_requested_steps():
                             np.array([10, 30], dtype=np.int64))
     assert np.array_equal(sparse[0][:, 0], full[0][:, 9])
     assert np.array_equal(sparse[0][:, 1], full[0][:, 29])
+
+
+def test_step_blocks_and_record_hook_do_not_change_states(monkeypatch):
+    # 300 steps read as blocks of 128, 128 and 44
+    psi0, K, rotated, dt, dW = dephasing_inputs(batch=3, steps=300)
+    record = np.arange(1, 301, dtype=np.int64)
+    states, drift_max, drift_mean, _ = simulate_chunk(psi0, K, rotated, dt,
+                                                      dW, True, record)
+    seen = []
+    hooked = simulate_chunk(psi0, K, rotated, dt, dW, True, record,
+                            on_record=lambda r, psi: seen.append((r, psi)))
+    assert hooked[0] is None
+    assert [r for r, _ in seen] == list(range(300))
+    assert np.array_equal(np.stack([psi for _, psi in seen], axis=1), states)
+    monkeypatch.setattr(kernels, "STEP_BLOCK", 1000)
+    whole = simulate_chunk(psi0, K, rotated, dt, dW, True, record)
+    for a, b in zip(whole, (states, drift_max, drift_mean)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_sum_equals_numpy_sum_bit_for_bit(dtype):
+    rng = np.random.default_rng(3)
+    for d in range(1, 10):
+        for batch in (1, 7, 300):
+            scale = 10.0 ** rng.integers(-12, 12, (batch, d))
+            x = rng.normal(size=(batch, d)) * scale
+            if dtype is complex:
+                x = x + 1j * rng.normal(size=(batch, d))
+            x[rng.random((batch, d)) < 0.3] = -0.0
+            expected = np.sum(x, axis=1)
+            assert kernels._row_sum(x).tobytes() == expected.tobytes()
 
 
 def test_blowup_sets_status_flag():

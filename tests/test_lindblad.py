@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qunravel import hilbert, lindblad
 from qunravel.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
@@ -11,6 +12,7 @@ from qunravel.lindblad import (GKSForm, LindbladModel, choi_matrix,
                                gell_mann_basis, gks_choi_matrix, gks_liouvillian,
                                gks_rhs, gks_to_lindblad, lindblad_rhs,
                                liouvillian, propagate_exact, unvec, vec)
+from qunravel.verify import random_hermitian, random_model
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -119,6 +121,30 @@ def test_choi_matrix_dephasing_is_psd_with_trace_d():
     assert hilbert.hermiticity_defect(choi) < 1e-12
     assert np.trace(choi).real == pytest.approx(2.0)
     assert np.linalg.eigvalsh(choi)[0] >= -1e-12
+
+
+def choi_by_matrix_units(P, d):
+    """Choi matrix whose block (i, j) is the propagated matrix unit |i><j|."""
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = unvec(P @ vec(unit), d)
+    return choi
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_choi_reshuffle_equals_matrix_unit_loop(d):
+    rng = np.random.default_rng(d)
+    model = random_model(rng, d, n_ops=2)
+    P = expm(0.3 * liouvillian(model))
+    assert np.array_equal(choi_matrix(model, 0.3), choi_by_matrix_units(P, d))
+    H = random_hermitian(rng, d)
+    g = GKSForm(H - np.trace(H) / d * np.eye(d),
+                random_hermitian(rng, d * d - 1))
+    P = expm(0.3 * gks_liouvillian(g))
+    assert np.array_equal(gks_choi_matrix(g, 0.3), choi_by_matrix_units(P, d))
 
 
 def test_gell_mann_basis_orthonormal_traceless():

@@ -1,10 +1,13 @@
 """Tests for the integration layer: configs, RNG streams, trajectories,
 ensembles, and parallel reproducibility."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qunravel import sde
+from qunravel import kernels, sde, verify
 from qunravel.hilbert import SIGMA_Z
 from qunravel.lindblad import LindbladModel
 from qunravel.sde import (IntegrationConfig, NormBlowupError, simulate_ensemble,
@@ -111,6 +114,9 @@ def test_ensemble_trajectory_streams_do_not_depend_on_chunking():
     a = simulate_ensemble(DEPHASING, PLUS, cfg, 100, chunk_size=7)
     b = simulate_ensemble(DEPHASING, PLUS, cfg, 100, chunk_size=64)
     assert np.array_equal(a.final_states, b.final_states)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="chunk_size"):
+            simulate_ensemble(DEPHASING, PLUS, cfg, 100, chunk_size=bad)
 
 
 def test_ensemble_mean_is_a_density_matrix():
@@ -159,10 +165,80 @@ def test_blowup_raises_with_trajectory_index():
     # lands exactly on the zero vector
     cfg = IntegrationConfig(dt=2.0, t_final=2.0, seed=2, renormalize=False)
     zero_noise = [np.zeros((3, 1, 1))]
-    with pytest.raises(NormBlowupError) as err:
+    with pytest.raises(NormBlowupError, match="in 3 trajectories") as err:
         simulate_ensemble(DEPHASING, PLUS, cfg, 3, chunk_size=3,
                           dW_chunks=zero_noise)
     assert err.value.trajectory_index == 0
+
+
+def test_blowup_reports_every_trajectory_in_global_indices():
+    # With zero noise a trajectory steps onto the zero vector, with dW = 1
+    # onto |-> (unit norm).  Chunks of 3 run in batches of whole chunks; blow
+    # up rows of the second and fourth chunk of the first two batches.
+    cfg = IntegrationConfig(dt=2.0, t_final=2.0, seed=2, renormalize=False)
+    second = (sde._BATCH // 3) * 3      # first trajectory of batch two
+    n = second + 12
+    blown = [4, 9, 11, second + 4, second + 9, second + 11]
+    dW = np.ones((n, 1, 1))
+    dW[blown] = 0.0
+    with pytest.raises(NormBlowupError, match="in 6 trajectories") as err:
+        simulate_ensemble(DEPHASING, PLUS, cfg, n, threads=2, chunk_size=3,
+                          dW_chunks=np.split(dW, n // 3))
+    assert err.value.trajectory_indices == blown
+    assert err.value.trajectory_index == 4
+
+
+@pytest.mark.parametrize("steps, noise_count", [(300, 2), (128, 1), (5, 3)])
+def test_block_drawn_increments_equal_one_draw(steps, noise_count):
+    dt = 1e-3
+    lazy = sde._Increments(17, 40, 3, steps, noise_count, dt)
+    assert lazy.shape == (3, steps, noise_count)
+    blocks = [lazy[:, s0:s0 + kernels.STEP_BLOCK]
+              for s0 in range(0, steps, kernels.STEP_BLOCK)]
+    drawn = np.concatenate(blocks, axis=1)
+    for i in range(3):
+        one = trajectory_rng(17, 40 + i).normal(0.0, np.sqrt(dt),
+                                                size=(steps, noise_count))
+        assert np.array_equal(drawn[i], one)
+    with pytest.raises(IndexError, match="in order"):
+        lazy[:, 0:kernels.STEP_BLOCK]
+
+
+@pytest.mark.parametrize("n", [601, 2100])
+def test_batched_ensemble_is_thread_count_invariant(n):
+    # chunks of 128 make batches of 8 chunks; both sizes end in a ragged
+    # batch.  Pool threads write disjoint rows of shared result arrays: a
+    # short switch interval and more threads than cores stress that.
+    model = verify.random_model(np.random.default_rng(4), 4, n_ops=2)
+    u = Unraveling(model, "standard")
+    psi0 = verify.random_state(np.random.default_rng(5), 4)
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=31, record_stride=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [simulate_ensemble(u, psi0, cfg, n, threads=threads,
+                                  keep_states=True, chunk_size=128)
+                for threads in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        for field in ("rho_hat", "final_states", "norm_drift",
+                      "norm_drift_mean", "states"):
+            assert np.array_equal(getattr(runs[0], field), getattr(run, field))
+
+
+def test_ensemble_memory_does_not_grow_with_steps():
+    # a materialized dW for 256 trajectories x 8192 steps would take 16.8 MB
+    cfg = IntegrationConfig(dt=1e-4, t_final=0.8192, seed=6,
+                            record_stride=1024)
+    n, steps = 256, cfg.n_steps
+    tracemalloc.start()
+    try:
+        simulate_ensemble(DEPHASING, PLUS, cfg, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * steps * 1 * 8 / 8
 
 
 def test_record_steps_override():
@@ -178,7 +254,8 @@ def test_record_steps_override():
 
 
 def test_dw_chunks_reproduce_default_streams():
-    cfg = IntegrationConfig(dt=1e-3, t_final=0.05, seed=13)
+    # 300 steps cross two step-block boundaries
+    cfg = IntegrationConfig(dt=1e-3, t_final=0.3, seed=13)
     n, chunk = 30, 16
     chunks = []
     lo = 0
@@ -194,6 +271,7 @@ def test_dw_chunks_reproduce_default_streams():
                                  dW_chunks=chunks)
     default = simulate_ensemble(DEPHASING, PLUS, cfg, n, chunk_size=chunk)
     assert np.array_equal(explicit.final_states, default.final_states)
+    assert np.array_equal(explicit.rho_hat, default.rho_hat)
     with pytest.raises(ValueError, match="chunk layout"):
         simulate_ensemble(DEPHASING, PLUS, cfg, n, chunk_size=chunk,
                           dW_chunks=chunks[:1])

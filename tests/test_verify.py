@@ -131,6 +131,31 @@ def test_check_ensemble_vs_exact_rejects_off_grid_checkpoint():
                                 [0.25, 1.0])
 
 
+def test_non_positive_checkpoints_are_rejected():
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
+    for checkpoints in ([0.0, 0.05], [0.0], [-0.05, 0.1]):
+        with pytest.raises(ValueError, match="is not positive"):
+            check_ensemble_vs_exact(DEPHASING, "standard", PLUS, cfg, 10,
+                                    checkpoints)
+    with pytest.raises(ValueError, match="checkpoint 0.0 is not positive"):
+        check_unraveling_equivalence(DEPHASING, ["standard", "standard"],
+                                     PLUS, cfg, 10, 0.0)
+    base = {"dim": 2, "hamiltonian": complex_to_pairs(np.zeros((2, 2))),
+            "lindblad_ops": [complex_to_pairs(SIGMA_Z)],
+            "psi0": complex_to_pairs(PLUS),
+            "integration": {"dt": 1e-2, "t_final": 0.1, "seed": 4},
+            "trajectories": 10}
+    entries = [dict(base, check="ensemble-vs-exact", freedom="standard",
+                    checkpoints=[0.0, 0.05]),
+               dict(base, check="unraveling-equivalence",
+                    freedoms=["standard", "standard"], t=0.0)]
+    for entry in entries:
+        with pytest.raises(ScenarioError,
+                           match=f"check '{entry['check']}': checkpoint 0.0 "
+                                 f"is not positive"):
+            run_suite({"checks": [entry]})
+
+
 def test_check_unraveling_equivalence_clean():
     cfg = IntegrationConfig(dt=1e-3, t_final=0.3, seed=6)
     report = check_unraveling_equivalence(
