@@ -31,6 +31,37 @@ def _write_csv(path, header_fields, columns, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+def _json(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _write_json(path, payload):
+    """Write payload as compact JSON with sorted keys.
+
+    json.dumps takes the C encoder (json.dump never does).  An ndarray
+    value of a dict payload is written one row at a time as nested [re, im]
+    pairs, so a large complex matrix is never held as one string.
+    """
+    with open(path, "w") as fh:
+        if not isinstance(payload, dict):
+            fh.write(_json(payload))
+        else:
+            fh.write("{")
+            for i, key in enumerate(sorted(payload)):
+                fh.write(("," if i else "") + _json(key) + ":")
+                value = payload[key]
+                if isinstance(value, np.ndarray):
+                    fh.write("[")
+                    for j, row in enumerate(value):
+                        fh.write(("," if j else "")
+                                 + _json(complex_to_pairs(row)))
+                    fh.write("]")
+                else:
+                    fh.write(_json(value))
+            fh.write("}")
+        fh.write("\n")
+
+
 def _scenario_hash(scenario, seed):
     return verify.config_hash({"scenario": scenario.to_dict(), "seed": seed})
 
@@ -80,17 +111,15 @@ def cmd_simulate(args):
         "std_error": est.std_error.tolist(),
         "norm_drift_max": est.norm_drift_max,
     }
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.out, "summary.json"), summary)
     return 0
 
 
 def cmd_verify(args):
     reports = verify.run_suite(args.scenario, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
-    payload = [r.to_dict() for r in reports]
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.out, "report.json"),
+                [r.to_dict() for r in reports])
     for r in reports:
         status = "ok" if r.ok else "FAILED"
         print(f"{r.name}: pass={r.passed} expect={r.expect} -> {status}")
@@ -109,13 +138,15 @@ def cmd_diagonalize(args):
         "completely_positive": bool(min(rates) >= -1e-10),
         "lindblad_ops": [complex_to_pairs(L) for L in ops],
     }
-    with open(os.path.join(args.out, "diagonal.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.out, "diagonal.json"), payload)
     return 0
 
 
 def cmd_choi(args):
     scenario = _load(args)
+    if not 0 < args.time < np.inf:
+        raise ScenarioError(f"--time must be positive and finite, "
+                            f"got {args.time}")
     os.makedirs(args.out, exist_ok=True)
     if scenario.gks is not None:
         choi = lindblad.gks_choi_matrix(scenario.gks, args.time)
@@ -127,10 +158,9 @@ def cmd_choi(args):
         "t": args.time,
         "min_eigenvalue": min_eig,
         "completely_positive": bool(min_eig >= -1e-10),
-        "choi": complex_to_pairs(choi),
+        "choi": choi,
     }
-    with open(os.path.join(args.out, "choi.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.out, "choi.json"), payload)
     return 0
 
 

@@ -23,9 +23,7 @@ class ScenarioError(ValueError):
 def complex_to_pairs(M):
     """Nested [re, im] representation of a complex array."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in M]
-    return [complex_to_pairs(row) for row in M]
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def pairs_to_complex(data, name="value"):

@@ -69,7 +69,7 @@ def test_criterion_02_decoherence_oracle():
         for r, t in enumerate(est.times))
     passed = worst_exact <= 1e-10 and worst_mc <= 0.03
     report(2, "decoherence-oracle", passed,
-           f"analytic vs expm {worst_exact:.2e} (tol 1e-10), "
+           f"analytic vs exact {worst_exact:.2e} (tol 1e-10), "
            f"ensemble vs exact {worst_mc:.4f} (tol 0.03, M=10^4)")
 
 

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from qunravel import cli
+from qunravel import cli, lindblad
 from qunravel.hilbert import SIGMA_Z
-from qunravel.scenario import complex_to_pairs
+from qunravel.scenario import complex_to_pairs, pairs_to_complex, parse_scenario
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -58,6 +58,28 @@ def test_simulate_is_deterministic_across_runs(tmp_path):
     assert (out1 / "rho.csv").read_bytes() == (out2 / "rho.csv").read_bytes()
 
 
+def assert_compact_sorted_json(path):
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+
+
+def test_config_hash_is_pinned(tmp_path):
+    # Literal hash of this scenario; any change to the canonical form of a
+    # scenario (pairs, key order, float text) breaks it.
+    H = np.array([[0.5, 0.25 - 0.125j], [0.25 + 0.125j, -0.5]])
+    L = np.array([[0.0, 1.0], [-0.0, -1j]])
+    scn = write(tmp_path, small_scenario(
+        hamiltonian=complex_to_pairs(H), lindblad_ops=[complex_to_pairs(L)],
+        psi0=complex_to_pairs(np.array([S2, -S2 * 1j]))))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", scn, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config_hash"] == (
+        "406010884477687acc0ad529cf256d0bc7584f9adf20fc9658b0c25da50dd07e")
+    assert_compact_sorted_json(out / "summary.json")
+
+
 def test_seed_override_changes_hash_and_data(tmp_path):
     scn = write(tmp_path, small_scenario())
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -86,6 +108,7 @@ def test_verify_suite_pass_and_fail_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert [r["ok"] for r in report] == [True, True]
+    assert_compact_sorted_json(out / "report.json")
     printed = capsys.readouterr().out
     assert printed.count("-> ok") == 2
 
@@ -127,6 +150,7 @@ def test_diagonalize_command(tmp_path):
     assert payload["rates"] == pytest.approx([1.0, -0.5])
     assert payload["completely_positive"] is False
     assert len(payload["lindblad_ops"]) == 2
+    assert_compact_sorted_json(out / "diagonal.json")
 
 
 def test_choi_command_model_and_gks(tmp_path):
@@ -137,6 +161,11 @@ def test_choi_command_model_and_gks(tmp_path):
     payload = json.loads((out / "choi.json").read_text())
     assert payload["completely_positive"] is True
     assert payload["t"] == 0.5
+    # the artifact holds exactly the floats of the library's Choi matrix
+    choi = lindblad.choi_matrix(parse_scenario(scn).model(), 0.5)
+    assert np.array_equal(pairs_to_complex(payload["choi"]), choi)
+    assert payload["min_eigenvalue"] == float(np.linalg.eigvalsh(choi)[0])
+    assert_compact_sorted_json(out / "choi.json")
 
     data = small_scenario()
     data["gks"] = {
@@ -152,6 +181,18 @@ def test_choi_command_model_and_gks(tmp_path):
     payload2 = json.loads((out2 / "choi.json").read_text())
     assert payload2["completely_positive"] is False
     assert payload2["min_eigenvalue"] < -1e-6
+    choi2 = lindblad.gks_choi_matrix(parse_scenario(scn2).gks, 0.05)
+    assert np.array_equal(pairs_to_complex(payload2["choi"]), choi2)
+
+
+@pytest.mark.parametrize("time", ["0", "-0.5", "nan", "inf"])
+def test_choi_rejects_non_positive_time(tmp_path, capsys, time):
+    scn = write(tmp_path, small_scenario())
+    out = tmp_path / "out"
+    assert cli.main(["choi", "--scenario", scn, "--out", str(out),
+                     "--time", time]) == 2
+    assert "error: --time must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_variance_scan_command(tmp_path):

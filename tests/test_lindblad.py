@@ -1,5 +1,9 @@
 """Tests for the deterministic generator: RHS, superoperator, Choi, GKS."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +109,65 @@ def test_propagate_exact_negative_rate_leaves_cp_cone():
     assert np.linalg.eigvalsh(rho)[0] < -1.0
 
 
+def dense_propagation(model, rho0, t, rates=None):
+    """Reference oracle: the full d^2 x d^2 propagator applied to vec(rho0)."""
+    P = expm(t * liouvillian(model, rates=rates))
+    return unvec(P @ vec(rho0), model.dim)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("rates", [None, [1.0, -0.4]])
+def test_propagate_exact_sequence_matches_dense_expm(d, rates):
+    rng = np.random.default_rng(100 + d)
+    model = random_model(rng, d, n_ops=2)
+    rho0 = random_rho(rng, d)
+    times = [0.7, 0.0, 0.3, 0.7, 1.2, 0.3]     # unsorted, repeated, t = 0
+    got = propagate_exact(model, rho0, times, rates=rates)
+    assert got.shape == (len(times), d, d)
+    for t, rho in zip(times, got):
+        assert np.max(np.abs(rho - dense_propagation(model, rho0, t, rates))) \
+            < 1e-13
+    assert np.array_equal(got[1], rho0)
+    assert np.array_equal(got[0], got[3]) and np.array_equal(got[2], got[5])
+
+
+def test_propagate_exact_scalar_and_sequence_shapes():
+    rng = np.random.default_rng(3)
+    model = random_model(rng, 3, n_ops=1)
+    rho0 = random_rho(rng, 3)
+    for t in (0.4, np.float64(0.4), np.array(0.4), 0):
+        assert propagate_exact(model, rho0, t).shape == (3, 3)
+    assert propagate_exact(model, rho0, [0.4]).shape == (1, 3, 3)
+    assert propagate_exact(model, rho0, np.array([0.4, 0.2])).shape == (2, 3, 3)
+    assert propagate_exact(model, rho0, []).shape == (0, 3, 3)
+    assert np.max(np.abs(propagate_exact(model, rho0, 0.4)
+                         - dense_propagation(model, rho0, 0.4))) < 1e-13
+
+
+@pytest.mark.parametrize("times", [-1.0, [-0.1, 0.2, 0.3], [0.1, 0.2, -0.3],
+                                   [0.1, -1e-12, 0.3], [0.1, np.nan],
+                                   [np.inf], np.inf])
+def test_propagate_exact_rejects_negative_or_non_finite_times(times):
+    rho0 = hilbert.outer(PLUS, PLUS)
+    with pytest.raises(ValueError, match="nonnegative"):
+        propagate_exact(DEPHASING, rho0, times)
+
+
+def test_propagate_exact_rejects_2d_times():
+    with pytest.raises(ValueError, match="1-D"):
+        propagate_exact(DEPHASING, hilbert.outer(PLUS, PLUS), [[0.1, 0.2]])
+
+
+def test_import_does_not_load_sparse_linalg():
+    # the oracle imports scipy.sparse.linalg on first use, not at import
+    src = os.path.dirname(os.path.dirname(lindblad.__file__))
+    code = ("import sys, qunravel; "
+            "sys.exit('scipy.sparse.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
+
+
 def test_choi_matrix_identity_channel():
     # trivial model: Choi of exp(tL) with L = 0 is d |Omega><Omega|
     model = LindbladModel(np.zeros((2, 2)))
@@ -112,8 +175,9 @@ def test_choi_matrix_identity_channel():
     omega = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     assert np.allclose(choi, 2.0 * np.outer(omega, omega), atol=1e-12)
     assert np.trace(choi) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        choi_matrix(model, 0.0)
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            choi_matrix(model, t)
 
 
 def test_choi_matrix_dephasing_is_psd_with_trace_d():
@@ -215,3 +279,5 @@ def test_gks_choi_matrix_flags_non_cp():
     assert np.linalg.eigvalsh(gks_choi_matrix(g, 0.05))[0] < -1e-6
     g_cp = GKSForm(np.zeros((2, 2)), np.eye(3))
     assert np.linalg.eigvalsh(gks_choi_matrix(g_cp, 0.5))[0] >= -1e-12
+    with pytest.raises(ValueError, match="positive"):
+        gks_choi_matrix(g_cp, 0.0)

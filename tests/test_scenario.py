@@ -32,6 +32,28 @@ def test_complex_pairs_round_trip():
     assert np.array_equal(pairs_to_complex(complex_to_pairs(v)), v)
 
 
+def pairs_by_loop(M):
+    """Reference: the element-by-element nested [re, im] representation."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in M]
+    return [pairs_by_loop(row) for row in M]
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 3, 2)])
+def test_complex_to_pairs_matches_loop_and_keeps_negative_zero(shape):
+    rng = np.random.default_rng(len(shape))
+    M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    M.flat[0] = complex(-0.0, -0.0)
+    M.flat[1] = complex(-0.0, 0.0)
+    pairs = complex_to_pairs(M)
+    # json spells out the sign of zero, so equal text means equal floats
+    assert json.dumps(pairs) == json.dumps(pairs_by_loop(M))
+    assert np.asarray(pairs).shape == shape + (2,)
+    assert json.dumps(complex_to_pairs(M.reshape(-1)[:2])) \
+        == "[[-0.0, -0.0], [-0.0, 0.0]]"
+
+
 def test_pairs_to_complex_diagnostics():
     with pytest.raises(ScenarioError, match="psi0"):
         pairs_to_complex([[1.0, 2.0, 3.0]], "psi0")

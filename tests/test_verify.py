@@ -122,6 +122,23 @@ def test_check_ensemble_vs_exact_small_run():
     assert report.measured["max_distance"] <= report.tolerance
 
 
+def test_check_ensemble_vs_exact_makes_one_oracle_call(monkeypatch):
+    calls = []
+    original = verify.lindblad.propagate_exact
+
+    def counting(model, rho0, t, rates=None):
+        calls.append(np.array(t, dtype=float))
+        return original(model, rho0, t, rates=rates)
+
+    monkeypatch.setattr(verify.lindblad, "propagate_exact", counting)
+    cfg = IntegrationConfig(dt=1e-3, t_final=0.5, seed=4)
+    report = check_ensemble_vs_exact(DEPHASING, "standard", PLUS, cfg, 50,
+                                     [0.5, 0.125, 0.25])
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.array([125, 250, 500]) * 1e-3)
+    assert list(report.measured["trace_distances"]) == ["0.125", "0.25", "0.5"]
+
+
 def test_check_ensemble_vs_exact_rejects_off_grid_checkpoint():
     cfg = IntegrationConfig(dt=1e-3, t_final=0.5, seed=4)
     with pytest.raises(ValueError, match="multiple of dt"):
