@@ -183,10 +183,7 @@ def cmd_variance_scan(args):
                                     scenario.trajectories,
                                     threads=args.threads, keep_states=True)
         times = est.times
-        mean_v = np.array([
-            np.mean([observables.variance(psi, L) for psi in est.states[:, r]])
-            for r in range(len(times))])
-        curves.append(mean_v)
+        curves.append(observables.variance(est.states, L).mean(axis=0))
     os.makedirs(args.out, exist_ok=True)
     columns = ["time"] + [f"mean_V_f={f:g}" for f in phases]
     rows = [[t] + [c[r] for c in curves] for r, t in enumerate(times)]
@@ -206,7 +203,9 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="at most this many forked worker processes; "
+                            "1 starts none")
         p.add_argument("--no-renormalize", action="store_true")
 
     common(sub.add_parser("simulate", help="run a trajectory ensemble"))

@@ -83,25 +83,6 @@ def outer(psi, phi):
     return np.outer(psi, np.conj(phi))
 
 
-def density_matrix_defects(rho, tol_psd=TOL.psd_floor):
-    """Diagnostics for the density-matrix invariants.
-
-    Returns (hermiticity defect, |trace - 1|, min eigenvalue of the
-    hermitized matrix).  Callers decide whether to reject.
-    """
-    rho = as_operator(rho)
-    herm = hermiticity_defect(rho)
-    tr = abs(np.trace(rho) - 1.0)
-    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    return herm, float(tr), float(w[0])
-
-
-def is_density_matrix(rho, tol_herm=TOL.hermitian, tol_trace=TOL.trace_one,
-                      tol_psd=TOL.psd_floor):
-    herm, tr, wmin = density_matrix_defects(rho)
-    return herm <= tol_herm and tr <= tol_trace and wmin >= tol_psd
-
-
 def trace_distance(rho, sigma):
     """Half the sum of singular values of rho - sigma."""
     rho = as_operator(rho)

@@ -141,22 +141,6 @@ def lindblad_rhs(model, rho, rates=None):
     return out
 
 
-def gks_rhs(g, rho):
-    """GKS form of the generator: sum_ij c_ij (F_i rho F_j^dag - (1/2){F_j^dag F_i, rho})."""
-    rho = hilbert.as_operator(rho, dim=g.dim)
-    out = -1j * (g.hamiltonian @ rho - rho @ g.hamiltonian)
-    c = g.kossakowski
-    F = g.basis_ops
-    for i in range(len(F)):
-        for j in range(len(F)):
-            if c[i, j] == 0.0:
-                continue
-            FjdFi = hilbert.dagger(F[j]) @ F[i]
-            out = out + c[i, j] * (F[i] @ rho @ hilbert.dagger(F[j])
-                                   - 0.5 * (FjdFi @ rho + rho @ FjdFi))
-    return out
-
-
 def vec(rho):
     """Column-major vectorization."""
     return np.asarray(rho, dtype=complex).ravel(order="F")

@@ -13,15 +13,22 @@ from .unraveling import diffusion_vectors
 
 
 def variance(psi, L):
-    """V = <L^2> - <L>^2 for Hermitian L at a unit state."""
+    """V = <L^2> - <L>^2 for Hermitian L at a unit state: a float for one
+    (d,) state, an array of shape (...) for a (..., d) batch of states."""
     L = hilbert.as_operator(L)
     if not hilbert.is_hermitian(L):
         raise ValueError("L must be Hermitian")
-    psi = hilbert.as_state(psi, dim=L.shape[0])
-    Lpsi = L @ psi
-    mean = float(np.real(np.vdot(psi, Lpsi)))
-    second = float(np.real(np.vdot(Lpsi, Lpsi)))
-    return second - mean * mean
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim < 2:
+        psi = hilbert.as_state(psi, dim=L.shape[0])
+    elif psi.shape[-1] != L.shape[0]:
+        raise ValueError(f"states have dim {psi.shape[-1]}, "
+                         f"expected {L.shape[0]}")
+    Lpsi = psi @ L.T
+    mean = np.sum(np.conj(psi) * Lpsi, axis=-1).real
+    second = np.sum(np.abs(Lpsi) ** 2, axis=-1)
+    v = second - mean * mean
+    return float(v) if v.ndim == 0 else v
 
 
 def variance_drift(psi, L, f):

@@ -85,9 +85,6 @@ class Scenario:
             out["variance_phases"] = list(self.variance_phases)
         return out
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _require(data, key):
     if key not in data:
@@ -180,9 +177,3 @@ def parse_scenario(path):
             raise ScenarioError(
                 f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return scenario_from_dict(data)
-
-
-def write_scenario(scenario, path):
-    with open(path, "w") as fh:
-        fh.write(scenario.to_json())
-        fh.write("\n")

@@ -3,20 +3,31 @@ generation with deterministic, parallelism-independent reproducibility.
 
 Each trajectory i draws its Wiener increments from a counter-based Philox
 stream keyed by (seed, i), so the stream is a pure function of the pair and
-trajectories can be executed in any order or on any number of threads
+trajectories can be executed in any order or in any number of processes
 without changing a single bit of the result.  Each chunk of trajectories is
 reduced to one projector sum, and the chunk sums are added in chunk order.
 
 Chunks are the unit of determinism; execution batches are the unit of work.
-Consecutive whole chunks run together as one kernel call of about
-``_BATCH`` trajectories, which draws its increments one step block at a time
-and adds each chunk's projectors into that chunk's sum at every record step,
-so neither the (batch, steps, N) increments nor the (batch, R, d) states are
-ever held unless the caller asks to keep the states.
+A batch is a run of about ceil(n_chunks / threads) whole chunks, fewer when
+its states, one step block of increments and its per-chunk partial sums
+would pass ``_BATCH_BYTES``.  It runs as one kernel call, which draws its
+increments one step block at a time and adds each chunk's projectors into
+that chunk's sum at every record step, so neither the (batch, steps, N)
+increments nor the (batch, R, d) states are ever held unless the caller asks
+to keep the states.
+
+With ``threads`` > 1 and more than one batch, the batches run in worker
+processes started by ``fork`` (at most ``threads`` of them, each holding its
+own batch in memory), which return their partial sums, drifts and final
+states to the caller; ``threads=1``, a single batch, a platform without
+``fork`` or a daemonic process runs every batch in the calling process and
+starts none.  Calling
+with ``threads`` > 1 from a process that runs threads of its own carries the
+usual ``fork`` caveats: only the calling thread exists in the workers.
 """
 
+import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +37,9 @@ from .tolerances import TOL
 from .unraveling import Unraveling
 
 _DEFAULT_CHUNK = 256
-# trajectories per kernel call; a batch is made of whole chunks, at least one
-_BATCH = 1024
+# bytes a batch of more than one chunk may hold: its states, one step block
+# of increments and its (chunks, R, d, d) partial sums
+_BATCH_BYTES = 32 * 2 ** 20
 
 
 class NormBlowupError(RuntimeError):
@@ -197,6 +209,88 @@ def simulate_trajectory(u, psi0, cfg, trajectory_index=0):
                       norm_drift_mean=float(drift_mean[0]), seed=cfg.seed)
 
 
+def batch_layout(n_chunks, chunk_bytes, threads):
+    """Execution batches, as runs [c0, c1) of whole chunks, and the number
+    of workers that run them.
+
+    A batch takes ceil(n_chunks / threads) chunks, or as many as fit in
+    ``_BATCH_BYTES`` at ``chunk_bytes`` each if that is fewer (always at
+    least one); workers = min(threads, number of batches).
+    """
+    threads = max(1, threads)
+    per_batch = min(-(-n_chunks // threads),
+                    max(1, _BATCH_BYTES // chunk_bytes))
+    batches = [(c0, min(c0 + per_batch, n_chunks))
+               for c0 in range(0, n_chunks, per_batch)]
+    return batches, min(threads, len(batches))
+
+
+def _batch_job(u, psi0, cfg, edges, record_steps, keep_states, dW_chunks):
+    """The function that runs one batch (c0, c1) of the chunks with the
+    given edges and returns its per-chunk (R, d, d) projector sums, the
+    global indices of its blown-up trajectories, its drifts, its final
+    states and, with keep_states, its (rows, R, d) states."""
+    R, d = record_steps.size, u.dim
+
+    def run(batch):
+        c0, c1 = batch
+        lo, hi = edges[c0], edges[c1]
+        rows = [(edges[c] - lo, edges[c + 1] - lo) for c in range(c0, c1)]
+        partials = np.empty((c1 - c0, R, d, d), dtype=complex)
+        finals = np.empty((hi - lo, d), dtype=complex)
+        kept = np.empty((hi - lo, R, d), dtype=complex) if keep_states else None
+
+        def on_record(r, psi):
+            # each chunk's projectors are summed at every record step, so
+            # that a batch holds its partial sums but never its states
+            for c, (a, b) in enumerate(rows):
+                partials[c, r] = projector_sum(psi[a:b, None, :])[0]
+            if keep_states:
+                kept[:, r] = psi
+            if r == R - 1:
+                finals[:] = psi
+
+        dW = None
+        if dW_chunks is not None:
+            dW = np.concatenate([dW_chunks[c] for c in range(c0, c1)])
+        _, drifts, drift_means, status = _simulate(
+            u, psi0, cfg, lo, hi - lo, record_steps, dW, on_record)
+        return (partials, lo + np.nonzero(status)[0], drifts, drift_means,
+                finals, kept)
+
+    return run
+
+
+_worker_job = None      # the batch function a forked worker was started with
+
+
+def _install_job(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _run_job(batch):
+    return _worker_job(batch)
+
+
+def _fork_pool(job, workers):
+    """A pool of `workers` processes forked with `job` installed, or None
+    where the platform cannot fork or this process, being a daemonic
+    worker itself, may start none.  Fork hands the job over by copying the
+    caller's memory: nothing is pickled but batch bounds and results, and
+    nothing re-imports the caller's ``__main__``.  A worker that dies
+    breaks the pool, which raises rather than waits."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_install_job, initargs=(job,))
+
+
 def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
                       keep_states=False, chunk_size=_DEFAULT_CHUNK,
                       dW_chunks=None, record_steps=None):
@@ -205,9 +299,11 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     The result is bitwise independent of `threads`: trajectory i always uses
     the Philox stream keyed by (seed, i), chunk boundaries depend only on
     `chunk_size`, and per-chunk projector sums are reduced in chunk order.
-    The thread pool maps over execution batches of whole chunks, which
-    change how much runs per kernel call but no trajectory's arithmetic.
-    A norm blow-up raises NormBlowupError naming every blown-up trajectory.
+    Execution batches of whole chunks (see :func:`batch_layout`) run in up
+    to `threads` forked worker processes, or in this process when
+    `threads` is 1; they change how much runs per kernel call and where,
+    but no trajectory's arithmetic.  A norm blow-up raises NormBlowupError
+    naming every blown-up trajectory.
 
     dW_chunks optionally supplies pregenerated increments per chunk (used by
     the step-size consistency checks to couple runs across dt levels);
@@ -234,54 +330,39 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     R = record_steps.size
     d = u.dim
 
-    # chunk c holds trajectories [edges[c], edges[c+1]); a batch is a run of
-    # whole chunks [c0, c1)
+    # chunk c holds trajectories [edges[c], edges[c+1])
     edges = list(range(0, n_trajectories, chunk_size)) + [n_trajectories]
     n_chunks = len(edges) - 1
     if dW_chunks is not None and len(dW_chunks) != n_chunks:
         raise ValueError("dW_chunks must match the chunk layout")
-    per_batch = max(1, _BATCH // chunk_size)
-    batches = [(c0, min(c0 + per_batch, n_chunks))
-               for c0 in range(0, n_chunks, per_batch)]
+    block = min(kernels.STEP_BLOCK, cfg.n_steps)
+    chunk_bytes = (chunk_size * (16 * d + 8 * block * u.noise_count)
+                   + 16 * R * d * d)
+    batches, workers = batch_layout(n_chunks, chunk_bytes, threads)
+    job = _batch_job(u, psi0, cfg, edges, record_steps, keep_states,
+                     dW_chunks)
 
     drifts = np.zeros(n_trajectories)
     drift_means = np.zeros(n_trajectories)
     finals = np.empty((n_trajectories, d), dtype=complex)
     kept = np.empty((n_trajectories, R, d), dtype=complex) if keep_states else None
-
-    def work(batch):
-        # Each chunk's projectors are summed at every record step, so that a
-        # batch holds its (R, d, d) partial sums but never its states.
-        c0, c1 = batch
-        lo, hi = edges[c0], edges[c1]
-        rows = [(edges[c] - lo, edges[c + 1] - lo) for c in range(c0, c1)]
-        partials = np.empty((c1 - c0, R, d, d), dtype=complex)
-
-        def on_record(r, psi):
-            for c, (a, b) in enumerate(rows):
-                partials[c, r] = projector_sum(psi[a:b, None, :])[0]
-            if keep_states:
-                kept[lo:hi, r] = psi
-            if r == R - 1:
-                finals[lo:hi] = psi
-
-        dW = None
-        if dW_chunks is not None:
-            dW = np.concatenate([dW_chunks[c] for c in range(c0, c1)])
-        _, drifts[lo:hi], drift_means[lo:hi], status = _simulate(
-            u, psi0, cfg, lo, hi - lo, record_steps, dW, on_record)
-        return partials, lo + np.nonzero(status)[0]
-
     rho_sum = np.zeros((R, d, d), dtype=complex)
     blown = []
-    # the pool starts its threads on first use, so threads=1 starts none
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = pool.map(work, batches) if threads > 1 else map(work, batches)
-        # batch order, then chunk order within each, whatever the thread count
-        for partials, bad in results:
+    pool = _fork_pool(job, workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        results = pool.map(_run_job, batches) if pool else map(job, batches)
+        # batch order, then chunk order within each, whatever the worker count
+        for (c0, c1), result in zip(batches, results):
+            partials, bad, drift, drift_mean, final, states = result
             for partial in partials:
                 rho_sum += partial
             blown.extend(bad)
+            lo, hi = edges[c0], edges[c1]
+            drifts[lo:hi] = drift
+            drift_means[lo:hi] = drift_mean
+            finals[lo:hi] = final
+            if keep_states:
+                kept[lo:hi] = states
     if blown:
         raise NormBlowupError(blown)
 

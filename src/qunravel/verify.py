@@ -5,7 +5,7 @@ runner with first-class expected-failure (fault-injection) entries.
 
 Fault injection is a flag on the unraveling (``Unraveling(..., fault=...)``)
 that deliberately breaks the one drift/diffusion function every path calls,
-so a fault run goes through the same integrator, thread pool and reduction
+so a fault run goes through the same integrator, worker pool and reduction
 as a clean one; a harness in which a fault still passes is itself broken.
 """
 

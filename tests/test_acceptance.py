@@ -140,8 +140,7 @@ def test_criterion_05_variance_drift_law():
                                   record_stride=10)
         est = q.simulate_ensemble(u, PSI_37, cfg, 10_000, threads=4,
                                   keep_states=True)
-        V = np.array([[observables.variance(psi, SIGMA_Z) for psi in traj]
-                      for traj in est.states])
+        V = observables.variance(est.states, SIGMA_Z)     # (M, R)
         v_bar = V.mean(axis=0)
         pred = (-4.0 * np.cos(f) ** 2 * V ** 2).mean(axis=0)
         dt_rec = est.times[1] - est.times[0]

@@ -6,11 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qunravel import hilbert
-from qunravel.hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, dagger,
-                              check_linear_independence, density_matrix_defects,
-                              expectation, hermiticity_defect, is_density_matrix,
-                              is_hermitian, is_normalized, norm2, normalize,
-                              outer, trace_distance)
+from qunravel.hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator, dagger,
+                              check_linear_independence, expectation,
+                              hermiticity_defect, is_hermitian, is_normalized,
+                              norm2, normalize, outer, trace_distance)
+from qunravel.tolerances import TOL
+
+
+def density_matrix_defects(rho):
+    """(hermiticity defect, |trace - 1|, min eigenvalue of the hermitized
+    matrix) of rho."""
+    rho = as_operator(rho)
+    herm = hermiticity_defect(rho)
+    tr = abs(np.trace(rho) - 1.0)
+    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
+    return herm, float(tr), float(w[0])
+
+
+def is_density_matrix(rho):
+    herm, tr, wmin = density_matrix_defects(rho)
+    return (herm <= TOL.hermitian and tr <= TOL.trace_one
+            and wmin >= TOL.psd_floor)
 
 
 def random_state(rng, d):

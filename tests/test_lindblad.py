@@ -14,12 +14,29 @@ from qunravel import hilbert, lindblad
 from qunravel.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from qunravel.lindblad import (GKSForm, LindbladModel, choi_matrix,
                                gell_mann_basis, gks_choi_matrix, gks_liouvillian,
-                               gks_rhs, gks_to_lindblad, lindblad_rhs,
+                               gks_to_lindblad, lindblad_rhs,
                                liouvillian, propagate_exact, unvec, vec)
 from qunravel.verify import random_hermitian, random_model
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+
+def gks_rhs(g, rho):
+    """GKS form of the generator:
+    sum_ij c_ij (F_i rho F_j^dag - (1/2){F_j^dag F_i, rho})."""
+    rho = hilbert.as_operator(rho, dim=g.dim)
+    out = -1j * (g.hamiltonian @ rho - rho @ g.hamiltonian)
+    c = g.kossakowski
+    F = g.basis_ops
+    for i in range(len(F)):
+        for j in range(len(F)):
+            if c[i, j] == 0.0:
+                continue
+            FjdFi = dagger(F[j]) @ F[i]
+            out = out + c[i, j] * (F[i] @ rho @ dagger(F[j])
+                                   - 0.5 * (FjdFi @ rho + rho @ FjdFi))
+    return out
 
 
 def random_rho(rng, d):

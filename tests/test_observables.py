@@ -29,6 +29,21 @@ def test_variance_oracle_values():
         variance(PLUS, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_variance_of_a_batch_is_the_variance_of_each_state():
+    rng = np.random.default_rng(3)
+    G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    L = G + G.conj().T
+    states = rng.normal(size=(5, 4, 3)) + 1j * rng.normal(size=(5, 4, 3))
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    V = variance(states, L)
+    assert V.shape == (5, 4)
+    for idx in np.ndindex(5, 4):
+        assert V[idx] == pytest.approx(variance(states[idx], L), abs=1e-13)
+    assert isinstance(variance(states[0, 0], L), float)
+    with pytest.raises(ValueError, match="dim"):
+        variance(states, SIGMA_Z)
+
+
 def test_variance_drift_phase_family():
     V = variance(PLUS, SIGMA_Z)
     assert variance_drift(PLUS, SIGMA_Z, 0.0) == pytest.approx(-4.0 * V * V)

@@ -8,7 +8,7 @@ import pytest
 
 from qunravel.scenario import (Scenario, ScenarioError, complex_to_pairs,
                                pairs_to_complex, parse_scenario,
-                               scenario_from_dict, write_scenario)
+                               scenario_from_dict)
 
 MINIMAL = {
     "dim": 2,
@@ -121,6 +121,12 @@ def test_invalid_json_reports_line_number(tmp_path):
     path.write_text('{\n  "dim": 2,\n  oops\n}\n')
     with pytest.raises(ScenarioError, match="line 3"):
         parse_scenario(path)
+
+
+def write_scenario(scenario, path):
+    with open(path, "w") as fh:
+        json.dump(scenario.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def test_round_trip_through_file(tmp_path):

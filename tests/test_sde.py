@@ -1,8 +1,12 @@
 """Tests for the integration layer: configs, RNG streams, trajectories,
 ensembles, and parallel reproducibility."""
 
+import multiprocessing
+import os
+import subprocess
 import sys
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -171,21 +175,102 @@ def test_blowup_raises_with_trajectory_index():
     assert err.value.trajectory_index == 0
 
 
-def test_blowup_reports_every_trajectory_in_global_indices():
+def test_blowup_reports_every_trajectory_in_global_indices(monkeypatch,
+                                                          tmp_path):
     # With zero noise a trajectory steps onto the zero vector, with dW = 1
-    # onto |-> (unit norm).  Chunks of 3 run in batches of whole chunks; blow
-    # up rows of the second and fourth chunk of the first two batches.
+    # onto |-> (unit norm).  Sixteen chunks of 3 make two batches of eight
+    # at threads=2; blow up rows of the second and fourth chunk of each
+    # batch.  Every kernel call logs its process and waits at a barrier for
+    # the other batch, so the two batches run at once in two processes.
     cfg = IntegrationConfig(dt=2.0, t_final=2.0, seed=2, renormalize=False)
-    second = (sde._BATCH // 3) * 3      # first trajectory of batch two
-    n = second + 12
+    n, second = 48, 24                  # second: first trajectory of batch two
     blown = [4, 9, 11, second + 4, second + 9, second + 11]
     dW = np.ones((n, 1, 1))
     dW[blown] = 0.0
+    log = tmp_path / "pids"
+    barrier = multiprocessing.get_context("fork").Barrier(2)
+    kernel = kernels.simulate_chunk
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        barrier.wait(timeout=60)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "simulate_chunk", logged)
     with pytest.raises(NormBlowupError, match="in 6 trajectories") as err:
         simulate_ensemble(DEPHASING, PLUS, cfg, n, threads=2, chunk_size=3,
                           dW_chunks=np.split(dW, n // 3))
     assert err.value.trajectory_indices == blown
     assert err.value.trajectory_index == 4
+    pids = log.read_text().split()
+    assert len(pids) == 2 and len(set(pids)) == 2
+    assert str(os.getpid()) not in pids
+
+
+def test_a_dying_worker_raises_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(kernels, "simulate_chunk", lambda *a, **k: os._exit(3))
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
+    with pytest.raises(BrokenProcessPool):
+        simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2, chunk_size=8)
+
+
+@pytest.mark.parametrize("n_chunks, chunk_bytes, threads", [
+    (1, 100, 1), (16, 100, 1), (16, 100, 2), (5, 100, 4), (3, 100, 8),
+    (16, 100, 0), (40, sde._BATCH_BYTES // 3, 2), (7, 2 * sde._BATCH_BYTES, 4)])
+def test_batch_layout_takes_whole_chunks_under_the_byte_cap(n_chunks,
+                                                            chunk_bytes,
+                                                            threads):
+    batches, workers = sde.batch_layout(n_chunks, chunk_bytes, threads)
+    # consecutive runs of whole chunks covering every chunk once
+    assert batches[0][0] == 0 and batches[-1][1] == n_chunks
+    assert all(c1 > c0 for c0, c1 in batches)
+    assert all(a[1] == b[0] for a, b in zip(batches, batches[1:]))
+    assert workers == min(max(threads, 1), len(batches))
+    per_batch = -(-n_chunks // max(threads, 1))
+    for c0, c1 in batches:
+        assert c1 - c0 <= per_batch
+        assert c1 - c0 == 1 or (c1 - c0) * chunk_bytes <= sde._BATCH_BYTES
+    if chunk_bytes * per_batch <= sde._BATCH_BYTES:
+        # the cap does not bind: one batch per worker, all but the last full
+        assert all(c1 - c0 == per_batch for c0, c1 in batches[:-1])
+
+
+def test_one_thread_or_one_batch_starts_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
+    # eight chunks in one process; one chunk leaves one batch at threads=4
+    simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=1, chunk_size=8)
+    simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=4)
+    with pytest.raises(AssertionError, match="forked"):
+        simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2, chunk_size=8)
+
+
+def _final_states_at_two_threads():
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
+    return simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2,
+                             chunk_size=8).final_states
+
+
+def test_a_daemonic_worker_runs_its_batches_in_process():
+    # a daemonic process may not start children, so a caller's own pool
+    # worker asking for threads=2 runs every batch itself
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.apply(_final_states_at_two_threads)
+    assert np.array_equal(inside, _final_states_at_two_threads())
+
+
+def test_import_does_not_load_multiprocessing():
+    # the worker pool imports multiprocessing on first use, not at import
+    src = os.path.dirname(os.path.dirname(sde.__file__))
+    code = ("import sys, qunravel; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 @pytest.mark.parametrize("steps, noise_count", [(300, 2), (128, 1), (5, 3)])
@@ -204,26 +289,41 @@ def test_block_drawn_increments_equal_one_draw(steps, noise_count):
         lazy[:, 0:kernels.STEP_BLOCK]
 
 
+ENSEMBLE_ARRAYS = ("times", "rho_hat", "std_error", "norm_drift",
+                   "norm_drift_mean", "final_states", "states")
+
+
 @pytest.mark.parametrize("n", [601, 2100])
 def test_batched_ensemble_is_thread_count_invariant(n):
-    # chunks of 128 make batches of 8 chunks; both sizes end in a ragged
-    # batch.  Pool threads write disjoint rows of shared result arrays: a
-    # short switch interval and more threads than cores stress that.
+    # Chunks of 128 make 5 and 17 chunks: threads=2 runs batches of 3 + 2
+    # and 9 + 8 chunks, threads=4 batches of 2 + 2 + 1 and 5 + 5 + 5 + 2,
+    # each batch in a worker process of its own.
     model = verify.random_model(np.random.default_rng(4), 4, n_ops=2)
     u = Unraveling(model, "standard")
     psi0 = verify.random_state(np.random.default_rng(5), 4)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=31, record_stride=3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        runs = [simulate_ensemble(u, psi0, cfg, n, threads=threads,
-                                  keep_states=True, chunk_size=128)
-                for threads in (1, 2, 4)]
-    finally:
-        sys.setswitchinterval(interval)
+    runs = [simulate_ensemble(u, psi0, cfg, n, threads=threads,
+                              keep_states=True, chunk_size=128)
+            for threads in (1, 2, 4)]
     for run in runs[1:]:
-        for field in ("rho_hat", "final_states", "norm_drift",
-                      "norm_drift_mean", "states"):
+        for field in ENSEMBLE_ARRAYS:
+            assert np.array_equal(getattr(runs[0], field), getattr(run, field))
+
+
+def test_given_increments_are_thread_count_invariant():
+    # 1000 trajectories in chunks of 96 end in a ragged chunk of 40; the
+    # workers read their chunks of dW from the memory they were forked with
+    cfg = IntegrationConfig(dt=2e-2, t_final=0.4, seed=5, record_stride=5)
+    n, chunk = 1000, 96
+    rng = np.random.default_rng(77)
+    dW = rng.normal(0.0, np.sqrt(cfg.dt), size=(n, cfg.n_steps, 1))
+    chunks = [dW[lo:lo + chunk] for lo in range(0, n, chunk)]
+    runs = [simulate_ensemble(DEPHASING, PLUS, cfg, n, threads=threads,
+                              keep_states=True, chunk_size=chunk,
+                              dW_chunks=chunks)
+            for threads in (1, 2, 4)]
+    for run in runs[1:]:
+        for field in ENSEMBLE_ARRAYS:
             assert np.array_equal(getattr(runs[0], field), getattr(run, field))
 
 
