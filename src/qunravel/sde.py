@@ -209,7 +209,7 @@ def simulate_trajectory(u, psi0, cfg, trajectory_index=0):
                       norm_drift_mean=float(drift_mean[0]), seed=cfg.seed)
 
 
-def batch_layout(n_chunks, chunk_bytes, threads):
+def _batch_layout(n_chunks, chunk_bytes, threads):
     """Execution batches, as runs [c0, c1) of whole chunks, and the number
     of workers that run them.
 
@@ -299,8 +299,8 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     The result is bitwise independent of `threads`: trajectory i always uses
     the Philox stream keyed by (seed, i), chunk boundaries depend only on
     `chunk_size`, and per-chunk projector sums are reduced in chunk order.
-    Execution batches of whole chunks (see :func:`batch_layout`) run in up
-    to `threads` forked worker processes, or in this process when
+    Execution batches of about ceil(n_chunks / threads) whole chunks run in
+    up to `threads` forked worker processes, or in this process when
     `threads` is 1; they change how much runs per kernel call and where,
     but no trajectory's arithmetic.  A norm blow-up raises NormBlowupError
     naming every blown-up trajectory.
@@ -338,7 +338,7 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     block = min(kernels.STEP_BLOCK, cfg.n_steps)
     chunk_bytes = (chunk_size * (16 * d + 8 * block * u.noise_count)
                    + 16 * R * d * d)
-    batches, workers = batch_layout(n_chunks, chunk_bytes, threads)
+    batches, workers = _batch_layout(n_chunks, chunk_bytes, threads)
     job = _batch_job(u, psi0, cfg, edges, record_steps, keep_states,
                      dW_chunks)
 

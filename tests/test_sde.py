@@ -221,7 +221,7 @@ def test_a_dying_worker_raises_instead_of_hanging(monkeypatch):
 def test_batch_layout_takes_whole_chunks_under_the_byte_cap(n_chunks,
                                                             chunk_bytes,
                                                             threads):
-    batches, workers = sde.batch_layout(n_chunks, chunk_bytes, threads)
+    batches, workers = sde._batch_layout(n_chunks, chunk_bytes, threads)
     # consecutive runs of whole chunks covering every chunk once
     assert batches[0][0] == 0 and batches[-1][1] == n_chunks
     assert all(c1 > c0 for c0, c1 in batches)
