@@ -259,7 +259,7 @@ def test_a_daemonic_worker_runs_its_batches_in_process():
     # a daemonic process may not start children, so a caller's own pool
     # worker asking for threads=2 runs every batch itself
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        inside = pool.apply(_final_states_at_two_threads)
+        inside = pool.apply_async(_final_states_at_two_threads).get(60)
     assert np.array_equal(inside, _final_states_at_two_threads())
 
 
