@@ -192,6 +192,13 @@ def cmd_variance_scan(args):
     return 0
 
 
+def _threads(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qunravel",
@@ -203,7 +210,7 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_threads, default=1,
                        help="at most this many forked worker processes; "
                             "1 starts none")
         p.add_argument("--no-renormalize", action="store_true")

@@ -27,6 +27,16 @@ the states at the requested record steps (or, with ``on_record``, one call
 per record step instead), the max and mean pre-renormalization deviation
 |  ||psi'||^2 - 1 |, and a status flag (0 ok, 1 norm blow-up).  A blown-up
 trajectory keeps its last state.
+
+Inside the kernel the states are component-major, a (d, batch) array, so
+that every elementwise operation runs over the batch rather than over d = 2
+to 4 components.  Three rules keep each trajectory's bits those of the
+row-major (batch, d) formulation, and independent of the batch width (and
+so of the thread count): the products K psi and L_k psi are the same
+(batch, d) @ (d, d) BLAS call, transposed afterwards (:func:`_apply`); sums
+over d follow numpy's own order (:func:`_col_sum`); and while every
+trajectory is alive the step skips the blow-up masks, which change nothing
+then.
 """
 
 import numpy as np
@@ -46,20 +56,47 @@ def active_backend():
     return "numpy"
 
 
-def _row_sum(x):
-    """``np.sum(x, axis=1)`` bit for bit, without numpy's per-row loop.
+def _col_sum(x):
+    """Sum over the first axis of a (n, b) array, equal bit for bit to
+    ``np.sum`` over the rows of its (b, n) row-major copy.
 
     numpy adds a row of fewer than 8 scalars (real and imaginary parts count
-    separately) one element after another onto +0.0, which slices over the
-    batch reproduce at a fraction of the cost; longer rows are summed
-    pairwise and go to ``np.sum``.
+    separately) one element after another onto +0.0, and a row of up to 128
+    scalars in 8 interleaved accumulators that it then adds pairwise; slices
+    over the batch reproduce both orders.  Longer rows are copied and summed
+    by numpy itself.
     """
-    if x.shape[1] * (2 if np.iscomplexobj(x) else 1) >= 8:
-        return np.sum(x, axis=1)
-    total = 0.0 + x[:, 0]
-    for i in range(1, x.shape[1]):
-        total += x[:, i]
-    return total
+    n = x.shape[0]
+    per = 4 if np.iscomplexobj(x) else 8      # elements in 8 scalars
+    if n < per:
+        total = 0.0 + x[0]
+        for i in range(1, n):
+            total += x[i]
+        return total
+    if n > 16 * per:
+        return np.sum(np.ascontiguousarray(x.T), axis=1)
+    acc = x[:per].copy()
+    full = n - n % per
+    for i in range(per, full, per):
+        acc += x[i:i + per]
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
+    total = acc[0]
+    for i in range(full, n):
+        total += x[i]
+    return 0.0 + total
+
+
+def _apply(M, psi):
+    """M psi for a (..., d, d) M and a (d, b) batch, as a contiguous
+    (..., d, b) array.
+
+    It is computed as psi^T M^T, the same (b, d) @ (d, d) product as in the
+    row-major layout, so each state's bits do not depend on the batch width;
+    ``M @ psi`` would let BLAS block the columns differently.
+    """
+    return np.ascontiguousarray(
+        np.swapaxes(psi.T @ np.swapaxes(M, -1, -2), -1, -2))
 
 
 def drift_diffusion(psi, K, rotated, fault=None):
@@ -67,30 +104,30 @@ def drift_diffusion(psi, K, rotated, fault=None):
 
     Parameters
     ----------
-    psi : (b, d) complex
+    psi : (d, b) complex, one state per column
     K : (d, d) complex, the constant linear drift part
     rotated : (N, d, d) complex
     fault : None or one of :data:`FAULTS`
 
     Returns
     -------
-    A : (b, d) complex
-    B : (N, b, d) complex
+    A : (d, b) complex
+    B : (N, d, b) complex
     """
-    A = psi @ K.T
-    B = psi @ rotated.transpose(0, 2, 1)        # L_k psi, (N, b, d)
+    A = _apply(K, psi)
+    B = _apply(rotated, psi)                    # L_k psi, (N, d, b)
     if fault is not None:
-        n2 = _row_sum(np.abs(psi) ** 2)
+        n2 = _col_sum(np.abs(psi) ** 2)
     for k in range(B.shape[0]):
         Lpsi = B[k]
-        lk = _row_sum(np.conj(psi) * Lpsi).real
+        lk = _col_sum(np.conj(psi) * Lpsi).real
         if fault is not None:
             lk = lk / n2
-        A += lk[:, None] * Lpsi
+        A += lk * Lpsi
         if fault != "drop_ell2":
-            A -= 0.5 * (lk * lk)[:, None] * psi
+            A -= 0.5 * (lk * lk) * psi
         if fault != "zero_ell_in_B":
-            Lpsi -= lk[:, None] * psi
+            Lpsi -= lk * psi
     return A, B
 
 
@@ -133,32 +170,53 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
 
         def on_record(r, psi):
             states[:, r, :] = psi
-    drift_max = np.zeros(batch)
-    drift_sum = np.zeros(batch)
-    status = np.zeros(batch, dtype=np.uint8)
-    alive = np.ones(batch, dtype=bool)
+    # numpy hands a one-row product to gemv, whose bits differ from a row of
+    # gemm's; a lone trajectory is stepped beside a noiseless copy instead
+    width = max(batch, 2)
+    drift_max = np.zeros(width)
+    drift_sum = np.zeros(width)
+    status = np.zeros(width, dtype=np.uint8)
+    alive = np.ones(width, dtype=bool)
+    all_alive = True
 
-    psi = np.broadcast_to(psi0, (batch, d)).copy()
+    # component-major: psi[i] holds component i of every trajectory
+    psi = np.empty((d, width), dtype=np.complex128)
+    psi[:] = psi0[:, None]
     rec = 0
     for s0 in range(0, steps, STEP_BLOCK):
-        block = np.ascontiguousarray(dW[:, s0:s0 + STEP_BLOCK], dtype=np.float64)
-        for j in range(block.shape[1]):
-            A, B = drift_diffusion(psi, K, rotated, fault)
-            new = psi + dt * A
+        block = np.asarray(dW[:, s0:s0 + STEP_BLOCK], dtype=np.float64)
+        # (s, N, width), transposed a cache-sized tile of rows at a time
+        incs = np.zeros(block.shape[1:] + (width,))
+        for i in range(0, batch, 64):
+            incs[..., i:i + 64] = block[i:i + 64].transpose(1, 2, 0)
+        for j, increments in enumerate(incs):
+            new, B = drift_diffusion(psi, K, rotated, fault)
+            new *= dt
+            new += psi
             for k in range(N):
-                new += block[:, j, k][:, None] * B[k]
-            n2 = _row_sum(np.abs(new) ** 2)
+                B[k] *= increments[k]
+                new += B[k]
+            n2 = _col_sum(np.abs(new) ** 2)
             dev = np.abs(n2 - 1.0)
-            drift_max = np.where(alive & (dev > drift_max), dev, drift_max)
-            drift_sum = np.where(alive, drift_sum + dev, drift_sum)
-            blown = alive & (n2 < _BLOWUP2)
-            status[blown] = 1
-            alive &= ~blown
-            if renormalize:
-                safe = np.where(n2 > 0.0, np.sqrt(n2), 1.0)
-                new = new / safe[:, None]
-            psi = np.where(alive[:, None], new, psi)
+            if all_alive and (n2 >= _BLOWUP2).all():
+                # nothing has blown up (a NaN norm fails the test above)
+                np.fmax(drift_max, dev, out=drift_max)
+                drift_sum += dev
+                if renormalize:
+                    new /= np.sqrt(n2)
+                psi = new
+            else:
+                drift_max = np.where(alive & (dev > drift_max), dev, drift_max)
+                drift_sum = np.where(alive, drift_sum + dev, drift_sum)
+                blown = alive & (n2 < _BLOWUP2)
+                status[blown] = 1
+                alive &= ~blown
+                all_alive = bool(alive.all())
+                if renormalize:
+                    new = new / np.where(n2 > 0.0, np.sqrt(n2), 1.0)
+                psi = np.where(alive, new, psi)
             if rec < R and s0 + j + 1 == record_steps[rec]:
-                on_record(rec, psi)
+                on_record(rec, np.ascontiguousarray(psi[:, :batch].T))
                 rec += 1
-    return states, drift_max, drift_sum / steps, status
+    return (states, drift_max[:batch], drift_sum[:batch] / steps,
+            status[:batch])

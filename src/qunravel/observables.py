@@ -129,15 +129,13 @@ def born_statistics(final_states, L, tol=TOL.classify, psi0=None):
         raise ValueError("eigenvalue sectors closer than 10*tol; lower tol")
     states = np.asarray(final_states, dtype=complex)
     n_total = states.shape[0]
-    counts = np.zeros(len(values), dtype=int)
-    unclassified = 0
-    for psi in states:
-        weights = [float(np.real(np.vdot(psi, P @ psi))) for P in projectors]
-        best = int(np.argmax(weights))
-        if weights[best] > 1.0 - tol:
-            counts[best] += 1
-        else:
-            unclassified += 1
+    # weights[n, m] = Re <psi_m, P_n psi_m>, for every sector and state
+    Ppsi = states @ np.transpose(projectors, (0, 2, 1))
+    weights = np.sum(np.conj(states) * Ppsi, axis=-1).real
+    best = np.argmax(weights, axis=0)
+    classified = np.take_along_axis(weights, best[None], 0)[0] > 1.0 - tol
+    counts = np.bincount(best[classified], minlength=len(values))
+    unclassified = int(n_total - classified.sum())
     freqs = counts / n_total
     predicted = None
     if psi0 is not None:

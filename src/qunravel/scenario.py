@@ -92,6 +92,16 @@ def _require(data, key):
     return data[key]
 
 
+def _positive_int(value, name):
+    """A count given as a JSON number: an integral value of at least 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()
+            or value < 1):
+        raise ScenarioError(f"{name}: must be a positive integer, "
+                            f"got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data):
     dim = int(_require(data, "dim"))
     H = pairs_to_complex(_require(data, "hamiltonian"), "hamiltonian")
@@ -157,7 +167,8 @@ def scenario_from_dict(data):
     scenario = Scenario(
         dim=dim, hamiltonian=H, lindblad_ops=ops, freedom_spec=freedom_spec,
         psi0=psi0, integration=integration,
-        trajectories=int(data.get("trajectories", 1)),
+        trajectories=_positive_int(data.get("trajectories", 1),
+                                   "trajectories"),
         checkpoints=[float(t) for t in data.get("checkpoints", [])],
         gks=gks,
         variance_phases=[float(f) for f in data.get("variance_phases", [])],

@@ -150,7 +150,11 @@ class _Increments:
         stop = min(cols.stop, self.shape[1])
         block = np.empty((self.shape[0], stop - self._next, self.shape[2]))
         for i, rng in enumerate(self._rngs):
-            block[i] = rng.normal(0.0, self._scale, size=block.shape[1:])
+            rng.standard_normal(out=block[i])
+        # what rng.normal(0.0, scale) computes, 0.0 + scale * z, in two
+        # passes over the block; the + 0.0 turns a -0.0 into +0.0 as it does
+        block *= self._scale
+        block += 0.0
         self._next = stop
         return block
 

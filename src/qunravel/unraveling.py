@@ -147,8 +147,8 @@ class Unraveling:
 
 def _drift_diffusion(u, psi):
     psi = hilbert.as_state(psi, dim=u.dim)
-    A, B = kernels.drift_diffusion(psi[None, :], u.K, u.rotated, u.fault)
-    return psi, A[0], B[:, 0]
+    A, B = kernels.drift_diffusion(psi[:, None], u.K, u.rotated, u.fault)
+    return psi, A[:, 0], B[:, :, 0]
 
 
 def diffusion_vectors(u, psi):

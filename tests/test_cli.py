@@ -135,6 +135,27 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert cli.main(["simulate"]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "variance-scan"])
+@pytest.mark.parametrize("count", [0, -5, 2.7])
+def test_bad_trajectory_count_exits_2(tmp_path, capsys, command, count):
+    scn = write(tmp_path, small_scenario(trajectories=count))
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert "error: trajectories: must be a positive integer" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "1.5", "two"])
+def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, threads):
+    scn = write(tmp_path, small_scenario())
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", scn, "--out", str(out),
+                     "--threads", threads]) == 2
+    assert "argument --threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagonalize_command(tmp_path):
     data = small_scenario()
     data["gks"] = {

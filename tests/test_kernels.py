@@ -4,7 +4,7 @@ faults, recording, blow-up."""
 import numpy as np
 import pytest
 
-from qunravel import kernels
+from qunravel import kernels, verify
 from qunravel.hilbert import SIGMA_Z
 from qunravel.kernels import simulate_chunk
 from qunravel.lindblad import LindbladModel
@@ -92,17 +92,80 @@ def test_step_blocks_and_record_hook_do_not_change_states(monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_row_sum_equals_numpy_sum_bit_for_bit(dtype):
+def test_col_sum_equals_numpy_sum_bit_for_bit(dtype):
+    # rows of fewer than 8, of 8 to 128 and of more than 128 scalars
     rng = np.random.default_rng(3)
-    for d in range(1, 10):
+    for d in list(range(1, 65)) + [100, 129]:
         for batch in (1, 7, 300):
             scale = 10.0 ** rng.integers(-12, 12, (batch, d))
             x = rng.normal(size=(batch, d)) * scale
             if dtype is complex:
-                x = x + 1j * rng.normal(size=(batch, d))
-            x[rng.random((batch, d)) < 0.3] = -0.0
+                x = x + 1j * rng.normal(size=(batch, d)) * scale[:, ::-1]
+                x.imag[rng.random((batch, d)) < 0.3] = -0.0
+            x.real[rng.random((batch, d)) < 0.3] = -0.0
             expected = np.sum(x, axis=1)
-            assert kernels._row_sum(x).tobytes() == expected.tobytes()
+            got = kernels._col_sum(np.ascontiguousarray(x.T))
+            assert got.tobytes() == expected.tobytes(), (d, batch)
+
+
+def random_inputs(d, n_ops, batch, steps, dt=1e-2, seed=0):
+    """Kernel inputs of a random model, built directly so that d = 1 works."""
+    rng = np.random.default_rng(seed)
+    rotated = 0.5 * (rng.normal(size=(n_ops, d, d))
+                     + 1j * rng.normal(size=(n_ops, d, d)))
+    K = (-1j * verify.random_hermitian(rng, d)
+         - 0.5 * np.einsum("kji,kjl->il", rotated.conj(), rotated))
+    dW = rng.normal(0.0, np.sqrt(dt), size=(batch, steps, n_ops))
+    return verify.random_state(rng, d), K, rotated, dt, dW
+
+
+@pytest.mark.parametrize("fault, renormalize", [
+    (None, True), (None, False), ("drop_ell2", False),
+    ("zero_ell_in_B", False)])
+def test_leading_rows_do_not_depend_on_the_batch_width(fault, renormalize):
+    # the same trajectories in a narrow and a wide call must take the same
+    # bits; a product whose BLAS blocking follows the batch would not
+    for d in range(1, 10):
+        for n_ops in (1, 2, 3):
+            psi0, K, rotated, dt, dW = random_inputs(d, n_ops, 300, 12,
+                                                     seed=d)
+            record = np.array([5, 12], dtype=np.int64)
+            wide = simulate_chunk(psi0, K, rotated, dt, dW, renormalize,
+                                  record, fault=fault)
+            for k in (1, 37):
+                narrow = simulate_chunk(psi0, K, rotated, dt, dW[:k],
+                                        renormalize, record, fault=fault)
+                for a, b in zip(narrow, wide):
+                    assert a.tobytes() == b[:k].tobytes(), (d, n_ops, k)
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_a_blowup_mid_block_leaves_the_other_rows_unchanged(renormalize):
+    # With L = I under the zero_ell_in_B fault, B = psi and the drift is
+    # -i 1e-5 H psi, so an increment of -1 sends row 3's norm below the
+    # floor at step 41.  The other rows, stepped without masks before it
+    # and with masks after it, must keep the bits they get in a batch
+    # where nothing blows up.
+    rng = np.random.default_rng(4)
+    d, dt = 4, 1e-2
+    K = -0.5 * np.eye(d) - 1e-5j * verify.random_hermitian(rng, d)
+    rotated = np.eye(d, dtype=complex)[None]
+    psi0 = verify.random_state(rng, d)
+    dW = rng.normal(0.0, np.sqrt(dt), size=(9, 200, 1))
+    bad = dW.copy()
+    bad[3, 40] = -1.0
+    record = np.arange(1, 201, 7, dtype=np.int64)
+    runs = [simulate_chunk(psi0, K, rotated, dt, x, renormalize, record,
+                           fault="zero_ell_in_B") for x in (dW, bad)]
+    assert not runs[0][3].any()
+    assert runs[1][3].tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    keep = np.arange(9) != 3
+    for a, b in zip(*runs):
+        assert a[keep].tobytes() == b[keep].tobytes()
+    # the blown row keeps its state after step 40 at every later record
+    frozen = runs[1][0][3, 6:]
+    assert np.array_equal(frozen, np.broadcast_to(frozen[0], frozen.shape))
+    assert not np.array_equal(frozen[0], runs[0][0][3, 6])
 
 
 def test_blowup_sets_status_flag():

@@ -105,6 +105,50 @@ def test_born_statistics_classifies_eigenstates():
     assert report.n_total == 4
 
 
+def born_counts_by_loop(states, L, tol):
+    """counts and unclassified, one state and one sector at a time."""
+    _, projectors = spectral_sectors(L)
+    counts = np.zeros(len(projectors), dtype=int)
+    unclassified = 0
+    for psi in states:
+        weights = [float(np.real(np.vdot(psi, P @ psi))) for P in projectors]
+        best = int(np.argmax(weights))
+        if weights[best] > 1.0 - tol:
+            counts[best] += 1
+        else:
+            unclassified += 1
+    return counts.tolist(), unclassified
+
+
+def test_born_statistics_matches_the_per_state_loop():
+    rng = np.random.default_rng(11)
+    tol = 1e-3
+    L = np.diag([2.0, 2.0, -1.0, 0.5]).astype(complex)
+    # random states, and states whose best sector weight sits just above
+    # or below 1 - tol, in the degenerate sector and in a simple one
+    states = [rng.normal(size=4) + 1j * rng.normal(size=4)
+              for _ in range(100)]
+    # nearly collapsed states, whose weights straddle the threshold
+    states += [np.eye(4)[rng.integers(4)]
+               + 0.02 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+               for _ in range(300)]
+    for sector in ([0, 1], [2]):
+        for w in (1 - tol - 1e-9, 1 - tol + 1e-9, 1 - tol / 2, 1.0):
+            inside = np.zeros(4, dtype=complex)
+            inside[sector] = rng.normal(size=len(sector)) + 1j
+            outside = rng.normal(size=4) * 1j
+            outside[sector] = 0.0
+            states.append(np.sqrt(w) * inside / np.linalg.norm(inside)
+                          + np.sqrt(1 - w) * outside / np.linalg.norm(outside))
+    states = np.array([psi / np.linalg.norm(psi) for psi in states])
+    report = born_statistics(states, L, tol=tol)
+    counts, unclassified = born_counts_by_loop(states, L, tol)
+    assert report.counts.tolist() == counts
+    assert report.unclassified == unclassified
+    assert unclassified > 100 and min(counts) > 5
+    assert report.counts.dtype == int
+
+
 def test_born_statistics_rejects_too_close_sectors():
     L = np.diag([0.0, 1e-5]).astype(complex)
     with pytest.raises(ValueError, match="sectors"):

@@ -116,6 +116,23 @@ def test_bad_integration_block():
         scenario_from_dict(bad)
 
 
+@pytest.mark.parametrize("count", [0, -5, 2.7, True, "40", None])
+def test_bad_trajectory_count_is_rejected(count):
+    bad = json.loads(json.dumps(MINIMAL))
+    bad["trajectories"] = count
+    with pytest.raises(ScenarioError, match="trajectories: must be a "
+                                            "positive integer"):
+        scenario_from_dict(bad)
+
+
+def test_integral_trajectory_count_is_accepted():
+    data = json.loads(json.dumps(MINIMAL))
+    data["trajectories"] = 40.0
+    assert scenario_from_dict(data).trajectories == 40
+    del data["trajectories"]
+    assert scenario_from_dict(data).trajectories == 1
+
+
 def test_invalid_json_reports_line_number(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "dim": 2,\n  oops\n}\n')

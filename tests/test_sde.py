@@ -282,9 +282,10 @@ def test_block_drawn_increments_equal_one_draw(steps, noise_count):
               for s0 in range(0, steps, kernels.STEP_BLOCK)]
     drawn = np.concatenate(blocks, axis=1)
     for i in range(3):
+        # byte for byte, so a -0.0 from the scaling would show
         one = trajectory_rng(17, 40 + i).normal(0.0, np.sqrt(dt),
                                                 size=(steps, noise_count))
-        assert np.array_equal(drawn[i], one)
+        assert drawn[i].tobytes() == one.tobytes()
     with pytest.raises(IndexError, match="in order"):
         lazy[:, 0:kernels.STEP_BLOCK]
 
@@ -308,6 +309,22 @@ def test_batched_ensemble_is_thread_count_invariant(n):
     for run in runs[1:]:
         for field in ENSEMBLE_ARRAYS:
             assert np.array_equal(getattr(runs[0], field), getattr(run, field))
+
+
+def test_a_one_trajectory_batch_is_thread_count_invariant():
+    # 257 trajectories in chunks of 128 leave a last chunk of one, which
+    # threads=3 runs as a batch of its own
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.3, seed=5, record_stride=10)
+    psi0 = verify.random_state(np.random.default_rng(6), 2)
+    runs = [simulate_ensemble(DEPHASING, psi0, cfg, 257, threads=threads,
+                              chunk_size=128, keep_states=True)
+            for threads in (1, 3)]
+    for name in ENSEMBLE_ARRAYS:
+        assert (getattr(runs[0], name).tobytes()
+                == getattr(runs[1], name).tobytes()), name
+    # and a lone trajectory takes the bits of its row in the ensemble
+    lone = simulate_trajectory(DEPHASING, psi0, cfg, trajectory_index=256)
+    assert lone.states[1:].tobytes() == runs[0].states[256].tobytes()
 
 
 def test_given_increments_are_thread_count_invariant():
