@@ -4,6 +4,12 @@ and Choi representations, exact propagation, and the GKS diagonalization step.
 Vectorization convention is column-major (Fortran order), so for d = 2 the
 vectorized basis order is {|0><0|, |1><0|, |0><1|, |1><1|} and
 vec(A rho B) = (B^T kron A) vec(rho).
+
+The Lindblad and GKS superoperators come from one kron-free builder.  The
+exact oracle and the Choi matrix work in real arithmetic: the generator
+preserves Hermiticity, so on the orthonormal Hermitian operator basis it is a
+real d^2 x d^2 matrix, with a quarter of the flops and half the memory of the
+complex one.
 """
 
 from dataclasses import dataclass, field
@@ -96,13 +102,15 @@ class GKSForm:
             raise ValueError("GKS Hamiltonian must be traceless")
         basis = self.basis_ops or tuple(gell_mann_basis(d))
         basis = tuple(hilbert.as_operator(F, dim=d) for F in basis)
-        for a, F in enumerate(basis):
-            if abs(np.trace(F)) > TOL.hermitian:
-                raise ValueError(f"basis op {a} is not traceless")
-            for b, G in enumerate(basis):
-                g = np.trace(hilbert.dagger(F) @ G)
-                if abs(g - (1.0 if a == b else 0.0)) > 1e-10:
-                    raise ValueError(f"basis ops {a},{b} not orthonormal: {g}")
+        flat = np.reshape(basis, (len(basis), d * d))
+        bad = np.flatnonzero(np.abs(flat[:, ::d + 1].sum(axis=1)) > TOL.hermitian)
+        if bad.size:
+            raise ValueError(f"basis op {bad[0]} is not traceless")
+        gram = flat.conj() @ flat.T         # Tr(F_a^dag F_b)
+        bad = np.argwhere(np.abs(gram - np.eye(len(basis))) > 1e-10)
+        if bad.size:
+            a, b = bad[0]
+            raise ValueError(f"basis ops {a},{b} not orthonormal: {gram[a, b]}")
         c = np.asarray(self.kossakowski, dtype=complex)
         if c.shape != (len(basis), len(basis)):
             raise ValueError(
@@ -125,6 +133,20 @@ def _dissipator(L, rho, Ldag_L=None):
     return L @ rho @ Ldag - 0.5 * (Ldag_L @ rho + rho @ Ldag_L)
 
 
+def _rates(model, rates):
+    """rates as one real, finite float per Lindblad operator (default all
+    ones); anything else is an input error, never silently truncated."""
+    if rates is None:
+        return np.ones(model.n_ops)
+    r = np.asarray(rates)
+    if r.ndim != 1 or r.size != model.n_ops:
+        raise ValueError(f"rates must be 1-D with one rate per operator: got "
+                         f"shape {r.shape} for {model.n_ops} operators")
+    if r.dtype.kind not in "iuf" or not np.all(np.isfinite(r)):
+        raise ValueError(f"rates must be real and finite, got {r}")
+    return r.astype(float)
+
+
 def lindblad_rhs(model, rho, rates=None):
     """Right-hand side -i[H, rho] + sum_k c_k D[L_k](rho).
 
@@ -134,9 +156,7 @@ def lindblad_rhs(model, rho, rates=None):
     H = model.hamiltonian
     rho = hilbert.as_operator(rho, dim=H.shape[0])
     out = -1j * (H @ rho - rho @ H)
-    if rates is None:
-        rates = np.ones(len(model.lindblad_ops))
-    for c, L in zip(rates, model.lindblad_ops):
+    for c, L in zip(_rates(model, rates), model.lindblad_ops):
         out = out + c * _dissipator(L, rho)
     return out
 
@@ -150,42 +170,112 @@ def unvec(v, d):
     return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
 
+def _generator(H, A, B):
+    """Superoperator of rho -> G rho + rho G^dag + sum_k B_k rho A_k^dag, with
+    G = -iH - (1/2) sum_k A_k^dag B_k, as a C-order (d, d, d, d) array
+    M[b, a, j, i].  Its (d^2, d^2) reshape, row a + b d and column i + j d,
+    is I kron G + conj(G) kron I + sum_k conj(A_k) kron B_k; it is filled
+    one row block at a time, with no kron temporaries.
+    """
+    d = H.shape[0]
+    Ac = np.asarray(A, dtype=complex).reshape(-1, d, d).conj()
+    B = np.asarray(B, dtype=complex).reshape(-1, d, d)
+    G = -1j * H - 0.5 * (Ac.reshape(-1, d).T @ B.reshape(-1, d))
+    M = np.empty((d, d, d, d), dtype=complex)
+    Bf = B.reshape(-1, d * d)
+    for b in range(d):
+        # M[b, a, j, i] = sum_k conj(A_k)[b, j] B_k[a, i]
+        M[b] = (Ac[:, b, :].T @ Bf).reshape(d, d, d).transpose(1, 0, 2)
+    k = np.arange(d)
+    M[k, :, k, :] += G             # delta_bj G[a, i]
+    M[:, k, :, k] += G.conj()      # conj(G)[b, j] delta_ai
+    return M
+
+
 def _liouvillian_matrix(H, ops, rates):
     d = H.shape[0]
-    I = np.eye(d, dtype=complex)
-    mat = -1j * (np.kron(I, H) - np.kron(H.T, I))
-    for c, L in zip(rates, ops):
-        Ldag_L = hilbert.dagger(L) @ L
-        mat = mat + c * (np.kron(np.conj(L), L)
-                         - 0.5 * np.kron(I, Ldag_L)
-                         - 0.5 * np.kron(Ldag_L.T, I))
-    return mat
+    ops = np.asarray(ops, dtype=complex).reshape(-1, d, d)
+    jumps = np.asarray(rates).reshape(-1, 1, 1) * ops
+    return _generator(H, ops, jumps).reshape(d * d, d * d)
 
 
 def liouvillian(model, rates=None):
     """d^2 x d^2 matrix form of the generator on column-major vec(rho)."""
-    if rates is None:
-        rates = np.ones(len(model.lindblad_ops))
-    return _liouvillian_matrix(model.hamiltonian, model.lindblad_ops, rates)
+    return _liouvillian_matrix(model.hamiltonian, model.lindblad_ops,
+                               _rates(model, rates))
 
 
 def gks_liouvillian(g):
-    """Superoperator of a GKS generator, without diagonalizing first."""
+    """Superoperator of a GKS generator, without diagonalizing first: the
+    jump operators sum_i c_ij F_i rho F_j^dag pair A_j = F_j with
+    B_j = sum_i c_ij F_i."""
     d = g.dim
-    I = np.eye(d, dtype=complex)
-    H = g.hamiltonian
-    mat = -1j * (np.kron(I, H) - np.kron(H.T, I))
-    c = g.kossakowski
-    F = g.basis_ops
-    for i in range(len(F)):
-        for j in range(len(F)):
-            if c[i, j] == 0.0:
-                continue
-            FjdFi = hilbert.dagger(F[j]) @ F[i]
-            mat = mat + c[i, j] * (np.kron(np.conj(F[j]), F[i])
-                                   - 0.5 * np.kron(I, FjdFi)
-                                   - 0.5 * np.kron(FjdFi.T, I))
-    return mat
+    F = np.asarray(g.basis_ops).reshape(-1, d * d)
+    B = g.kossakowski.T @ F
+    return _generator(g.hamiltonian, F, B).reshape(d * d, d * d)
+
+
+# Real representation.  A Hermiticity-preserving map is a real matrix on the
+# orthonormal Hermitian basis {(E_ij + E_ji)/sqrt2, i(E_ji - E_ij)/sqrt2 (i < j),
+# E_ii}, in that order.  Each basis element touches at most two entries of
+# vec(rho), p = i + j d and q = j + i d, so the change of basis T^dag L T and
+# its inverse T R T^dag are gathers over those index pairs, not matmuls.
+_R2 = np.sqrt(0.5)
+
+
+def _pairs(d):
+    """vec indices p of the entries (i, j), i < j, q of (j, i), and of the
+    diagonal."""
+    i, j = np.triu_indices(d, 1)
+    return i + j * d, j + i * d, np.arange(d) * (d + 1)
+
+
+def _real_superop(L, d):
+    """Re(T^dag L T): the real generator of the complex superoperator L; the
+    dropped imaginary part is rounding error when L preserves Hermiticity."""
+    p, q, e = _pairs(d)
+    m = p.size
+    s, a, g = slice(0, m), slice(m, 2 * m), slice(2 * m, None)
+    Lr, Li = L.real, L.imag
+
+    def blk(part, X, Y):
+        return part[np.ix_(X, Y)]
+
+    S = np.empty(L.shape)
+    u = blk(Lr, p, p) + blk(Lr, q, q)
+    v = blk(Lr, p, q) + blk(Lr, q, p)
+    S[s, s] = 0.5 * (u + v)
+    S[a, a] = 0.5 * (u - v)
+    u = blk(Li, p, p) - blk(Li, q, q)
+    v = blk(Li, q, p) - blk(Li, p, q)
+    S[s, a] = 0.5 * (u + v)
+    S[a, s] = 0.5 * (v - u)
+    S[s, g] = _R2 * (blk(Lr, p, e) + blk(Lr, q, e))
+    S[a, g] = _R2 * (blk(Li, q, e) - blk(Li, p, e))
+    S[g, s] = _R2 * (blk(Lr, e, p) + blk(Lr, e, q))
+    S[g, a] = _R2 * (blk(Li, e, p) - blk(Li, e, q))
+    S[g, g] = blk(Lr, e, e)
+    return S
+
+
+def _coords(rho, d):
+    """T^dag vec(rho): real for Hermitian rho; the real and imaginary parts
+    are the coordinates of rho's Hermitian part and of -i times its
+    anti-Hermitian part."""
+    p, q, e = _pairs(d)
+    v = vec(rho)
+    return np.concatenate((_R2 * (v[p] + v[q]), 1j * _R2 * (v[p] - v[q]),
+                           v[e]))
+
+
+def _from_coords(c, d):
+    """T c, as a (d, d) matrix."""
+    p, q, e = _pairs(d)
+    m = p.size
+    sym, anti = _R2 * c[:m], 1j * _R2 * c[m:2 * m]
+    v = np.empty(d * d, dtype=complex)
+    v[p], v[q], v[e] = sym - anti, sym + anti, c[2 * m:]
+    return unvec(v, d)
 
 
 def propagate_exact(model, rho0, t, rates=None):
@@ -193,10 +283,11 @@ def propagate_exact(model, rho0, t, rates=None):
     Carlo ensembles are judged; no ODE stepping is involved.
 
     t is a scalar, giving a (d, d) state, or a 1-D sequence of times, giving
-    an (n, d, d) array in the order given.  The Liouvillian is built once and
-    only its action on vec(rho0) is computed (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33 (2011) 488), each time reached from the previous one in
-    sorted order.
+    an (n, d, d) array in the order given.  The generator is built once, as
+    a real matrix on the Hermitian basis, and only its action on rho0's
+    Hermitian and anti-Hermitian parts (one real column when rho0 is
+    Hermitian) is computed (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
+    488), each time reached from the previous one in sorted order.
     """
     # Imported here: scipy.sparse.linalg adds ~3.5 MB to the resident size
     # of every process that imports qunravel, and most never call the oracle.
@@ -208,8 +299,11 @@ def propagate_exact(model, rho0, t, rates=None):
                          f"{times.shape}")
     if not np.all((times >= 0) & (times < np.inf)):
         raise ValueError("t must be finite and nonnegative")
+    rates = _rates(model, rates)
     d = model.dim
-    v = vec(hilbert.as_operator(rho0, dim=d))
+    rho = hilbert.as_operator(rho0, dim=d)
+    c = _coords(rho, d)
+    x = np.stack((c.real, c.imag) if c.imag.any() else (c.real,), axis=1)
     flat = times.reshape(-1)
     out = np.empty((flat.size, d, d), dtype=complex)
     superop = None
@@ -217,10 +311,12 @@ def propagate_exact(model, rho0, t, rates=None):
     for i in np.argsort(flat, kind="stable"):
         if flat[i] > reached:
             if superop is None:
-                superop = liouvillian(model, rates=rates)
-            v = expm_multiply((flat[i] - reached) * superop, v)
+                superop = _real_superop(liouvillian(model, rates), d)
+            x = expm_multiply((flat[i] - reached) * superop, x)
             reached = flat[i]
-        out[i] = unvec(v, d)
+            rho = _from_coords(x[:, 0] + 1j * x[:, 1] if x.shape[1] == 2
+                               else x[:, 0], d)
+        out[i] = rho
     return out[0] if times.ndim == 0 else out
 
 
@@ -228,13 +324,41 @@ def _choi(t, d, build_superop):
     # Block (i, j) of the Choi matrix is the image of |i><j|, i.e. column
     # i + j d of the propagator P unvec'd: choi[i d + a, j d + b] =
     # P[a + b d, i + j d].  The full propagator is needed, so this stays a
-    # dense exponential.  The superoperator is built only after t is
-    # checked, and is freed as soon as it is scaled, before expm.
+    # dense exponential, of the real generator.  The complex superoperator
+    # is built only after t is checked and is freed before expm; the real
+    # propagator R is gathered straight into the Choi layout, block by
+    # block of P = T R T^dag.  The blocks of the q rows and columns are the
+    # conjugates of those of the p ones, so the result is exactly Hermitian.
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")
-    P = expm(t * build_superop())
-    return (P.reshape(d, d, d, d, order="F").transpose(2, 0, 3, 1)
-            .reshape(d * d, d * d))
+    S = _real_superop(build_superop(), d)
+    S *= t
+    R = expm(S)
+    del S
+    p, q, e = _pairs(d)
+    m = p.size
+    s, a, g = slice(0, m), slice(m, 2 * m), slice(2 * m, None)
+    choi = np.empty((d * d, d * d), dtype=complex)
+    c4 = choi.reshape(d, d, d, d)
+
+    def put(X, Y, block):
+        # rows X = a + b d and columns Y = i + j d of P
+        c4[Y % d, X[:, None] % d, Y // d, X[:, None] // d] = block
+
+    pp = 0.5 * ((R[s, s] + R[a, a]) + 1j * (R[s, a] - R[a, s]))
+    pq = 0.5 * ((R[s, s] - R[a, a]) - 1j * (R[s, a] + R[a, s]))
+    pe = _R2 * (R[s, g] - 1j * R[a, g])
+    ep = _R2 * (R[g, s] + 1j * R[g, a])
+    put(p, p, pp)
+    put(q, q, pp.conj())
+    put(p, q, pq)
+    put(q, p, pq.conj())
+    put(p, e, pe)
+    put(q, e, pe.conj())
+    put(e, p, ep)
+    put(e, q, ep.conj())
+    put(e, e, R[g, g])
+    return choi
 
 
 def choi_matrix(model, t, rates=None):
@@ -243,6 +367,7 @@ def choi_matrix(model, t, rates=None):
 
     Hermitian with trace d; positive semidefinite iff the channel is CP.
     """
+    rates = _rates(model, rates)
     return _choi(t, model.dim, lambda: liouvillian(model, rates=rates))
 
 

@@ -123,10 +123,25 @@ class EnsembleEstimate:
     states: np.ndarray = None          # (M, len(times), d) when kept
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Seed sequence that hands Philox the key [seed, index] as its state.
+    Same key, counter and stream as ``Philox(key=[seed, index])``, which
+    would build, and then ignore, a SeedSequence drawn from OS entropy."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, seed, index):
+        self._key = np.array([seed, index], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self._key
+
+
 def trajectory_rng(seed, index):
     """Philox stream for trajectory `index`: a pure function of (seed, index)."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, index)))
 
 
 class _Increments:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,15 +218,22 @@ def choi_by_matrix_units(P, d):
 
 @pytest.mark.parametrize("d", [2, 5])
 def test_choi_reshuffle_equals_matrix_unit_loop(d):
+    # The Choi matrix is gathered from the real propagator on the Hermitian
+    # basis, so it matches the dense complex expm to rounding, not bit for
+    # bit; a layout error would be O(1).  It is exactly Hermitian.
     rng = np.random.default_rng(d)
     model = random_model(rng, d, n_ops=2)
     P = expm(0.3 * liouvillian(model))
-    assert np.array_equal(choi_matrix(model, 0.3), choi_by_matrix_units(P, d))
+    choi = choi_matrix(model, 0.3)
+    assert np.max(np.abs(choi - choi_by_matrix_units(P, d))) < 1e-13
+    assert np.array_equal(choi, choi.conj().T)
     H = random_hermitian(rng, d)
     g = GKSForm(H - np.trace(H) / d * np.eye(d),
                 random_hermitian(rng, d * d - 1))
     P = expm(0.3 * gks_liouvillian(g))
-    assert np.array_equal(gks_choi_matrix(g, 0.3), choi_by_matrix_units(P, d))
+    choi = gks_choi_matrix(g, 0.3)
+    assert np.max(np.abs(choi - choi_by_matrix_units(P, d))) < 1e-13
+    assert np.array_equal(choi, choi.conj().T)
 
 
 def test_gell_mann_basis_orthonormal_traceless():
@@ -298,3 +306,214 @@ def test_gks_choi_matrix_flags_non_cp():
     assert np.linalg.eigvalsh(gks_choi_matrix(g_cp, 0.5))[0] >= -1e-12
     with pytest.raises(ValueError, match="positive"):
         gks_choi_matrix(g_cp, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The kron-free generator and the real Hermitian-basis representation.
+
+def kron_liouvillian(H, ops, rates):
+    """Reference: the column-major Liouvillian summed from kron products."""
+    d = H.shape[0]
+    I = np.eye(d, dtype=complex)
+    mat = -1j * (np.kron(I, H) - np.kron(H.T, I))
+    for c, L in zip(rates, ops, strict=True):
+        Ldag_L = dagger(L) @ L
+        mat = mat + c * (np.kron(np.conj(L), L)
+                         - 0.5 * np.kron(I, Ldag_L)
+                         - 0.5 * np.kron(Ldag_L.T, I))
+    return mat
+
+
+def kron_gks_liouvillian(g):
+    """Reference: the GKS superoperator as a double loop of kron products."""
+    d = g.dim
+    I = np.eye(d, dtype=complex)
+    H = g.hamiltonian
+    mat = -1j * (np.kron(I, H) - np.kron(H.T, I))
+    c = g.kossakowski
+    F = g.basis_ops
+    for i in range(len(F)):
+        for j in range(len(F)):
+            if c[i, j] == 0.0:
+                continue
+            FjdFi = dagger(F[j]) @ F[i]
+            mat = mat + c[i, j] * (np.kron(np.conj(F[j]), F[i])
+                                   - 0.5 * np.kron(I, FjdFi)
+                                   - 0.5 * np.kron(FjdFi.T, I))
+    return mat
+
+
+def hermitian_basis(d):
+    """T: columns vec((E_ij + E_ji)/sqrt2), vec(i(E_ji - E_ij)/sqrt2) for
+    i < j, then vec(E_ii), written out from the definition."""
+    mats = []
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for i, j in pairs:
+        B = np.zeros((d, d), dtype=complex)
+        B[i, j] = B[j, i] = 1 / np.sqrt(2)
+        mats.append(B)
+    for i, j in pairs:
+        B = np.zeros((d, d), dtype=complex)
+        B[j, i], B[i, j] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+        mats.append(B)
+    for i in range(d):
+        B = np.zeros((d, d), dtype=complex)
+        B[i, i] = 1.0
+        mats.append(B)
+    return mats, np.stack([vec(B) for B in mats], axis=1)
+
+
+def random_unitary(rng, n):
+    Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def gks_cases(rng, d):
+    """GKS forms at dimension d: dense PSD, dense indefinite (non-CP),
+    sparse, and a dense one on a rotated, non-Hermitian basis."""
+    n = d * d - 1
+    H = random_hermitian(rng, d)
+    H = H - np.trace(H) / d * np.eye(d)
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    sparse = np.zeros((n, n), dtype=complex)
+    sparse[0, 0], sparse[-1, -1] = 0.7, -0.2
+    if n > 1:
+        sparse[0, n - 1], sparse[n - 1, 0] = 0.3j, -0.3j
+    U = random_unitary(rng, n)
+    rotated = tuple(np.einsum("lk,lab->kab", U, np.array(gell_mann_basis(d))))
+    return [GKSForm(H, M @ dagger(M) / n),
+            GKSForm(H, random_hermitian(rng, n)),
+            GKSForm(H, sparse),
+            GKSForm(H, random_hermitian(rng, n), basis_ops=rotated)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_generator_matches_kron_reference(d):
+    rng = np.random.default_rng(50 + d)
+    for n_ops in (0, 1, 3):
+        if d == 1 and n_ops:
+            continue                    # no traceless operator on C^1
+        model = random_model(rng, d, n_ops=n_ops)
+        for rates in (None, rng.normal(size=n_ops)):    # negative rates too
+            expected = kron_liouvillian(model.hamiltonian, model.lindblad_ops,
+                                        np.ones(n_ops) if rates is None
+                                        else rates)
+            assert np.max(np.abs(liouvillian(model, rates) - expected)) < 1e-13
+    if d > 1:
+        for g in gks_cases(rng, d):
+            assert np.max(np.abs(gks_liouvillian(g)
+                                 - kron_gks_liouvillian(g))) < 1e-13
+
+
+def test_hermitian_basis_is_orthonormal_and_hermitian():
+    for d in (1, 2, 3, 5):
+        mats, T = hermitian_basis(d)
+        assert all(hilbert.is_hermitian(B) for B in mats)
+        assert np.max(np.abs(dagger(T) @ T - np.eye(d * d))) < 1e-15
+        # the index sets the gathers use are those of the definition
+        p, q, e = lindblad._pairs(d)
+        k = np.arange(p.size)
+        r = 1 / np.sqrt(2)
+        assert np.count_nonzero(T) == 4 * k.size + d
+        assert np.allclose(T[p, k], r) and np.allclose(T[q, k], r)
+        assert np.allclose(T[p, k.size + k], -1j * r)
+        assert np.allclose(T[q, k.size + k], 1j * r)
+        assert np.array_equal(T[e, 2 * k.size + np.arange(d)], np.ones(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_real_generator_is_the_hermitian_basis_projection(d):
+    rng = np.random.default_rng(d)
+    _, T = hermitian_basis(d)
+    superops = [liouvillian(random_model(rng, d, n_ops=2), [1.0, -0.6])]
+    superops += [gks_liouvillian(g) for g in gks_cases(rng, d)]
+    for L in superops:
+        full = dagger(T) @ L @ T
+        # the dropped imaginary part is rounding error ...
+        assert np.max(np.abs(full.imag)) < 1e-13 * max(1.0, np.abs(L).max())
+        # ... and the gathers compute the real part
+        S = lindblad._real_superop(L, d)
+        assert S.dtype == float
+        assert np.max(np.abs(S - full.real)) < 1e-13
+    rho = random_rho(rng, d) + 0.3j * random_hermitian(rng, d)
+    c = lindblad._coords(rho, d)
+    assert np.max(np.abs(c - dagger(T) @ vec(rho))) < 1e-15
+    assert np.max(np.abs(lindblad._from_coords(c, d) - rho)) < 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_propagate_exact_non_hermitian_rho0_matches_dense_expm(d):
+    rng = np.random.default_rng(200 + d)
+    model = random_model(rng, d, n_ops=min(2, d * d - 1))
+    rho0 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    times = [0.5, 0.0, 1.1]
+    got = propagate_exact(model, rho0, times)
+    for t, rho in zip(times, got):
+        assert np.max(np.abs(rho - dense_propagation(model, rho0, t))) < 1e-13
+    assert np.array_equal(got[1], rho0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gks_choi_matrix_matches_dense_expm(d):
+    rng = np.random.default_rng(300 + d)
+    for g in gks_cases(rng, d):
+        P = expm(0.4 * kron_gks_liouvillian(g))
+        choi = gks_choi_matrix(g, 0.4)
+        assert np.max(np.abs(choi - choi_by_matrix_units(P, d))) < 1e-13
+        assert np.array_equal(choi, choi.conj().T)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_stays_within_a_few_superoperators():
+    # a complex d^2 x d^2 superoperator is 16 d^4 bytes; the real path keeps
+    # the Choi matrix below 6 of them and propagate_exact below 4
+    d = 16
+    superop = 16 * d ** 4
+    rng = np.random.default_rng(16)
+    model = random_model(rng, d, n_ops=2)
+    rho0 = random_rho(rng, d)
+    propagate_exact(model, rho0, 0.1)         # warm the lazy imports
+    assert traced_peak(lambda: choi_matrix(model, 0.2)) < 6 * superop
+    assert traced_peak(lambda: propagate_exact(
+        model, rho0, [0.1, 0.2, 0.3, 0.4])) < 4 * superop
+
+
+# ---------------------------------------------------------------------------
+# rates: one real, finite rate per operator
+
+TWO_OPS = LindbladModel(np.zeros((2, 2)), (SIGMA_Z, SIGMA_X))
+BAD_RATES = [[1.0], [1.0, 0.0, 2.0], [[1.0, 0.5]], [1.0, 0.5j],
+             [1.0, np.nan], [np.inf, 1.0], 1.0]
+
+
+@pytest.mark.parametrize("rates", BAD_RATES)
+@pytest.mark.parametrize("entry", [
+    lambda m, r: lindblad_rhs(m, hilbert.outer(PLUS, PLUS), rates=r),
+    lambda m, r: liouvillian(m, rates=r),
+    lambda m, r: propagate_exact(m, hilbert.outer(PLUS, PLUS), 1.0, rates=r),
+    lambda m, r: propagate_exact(m, hilbert.outer(PLUS, PLUS), 0.0, rates=r),
+    lambda m, r: choi_matrix(m, 1.0, rates=r),
+], ids=["lindblad_rhs", "liouvillian", "propagate_exact", "propagate_at_0",
+        "choi_matrix"])
+def test_rates_must_be_one_real_finite_rate_per_operator(entry, rates):
+    with pytest.raises(ValueError, match="rates"):
+        entry(TWO_OPS, rates)
+
+
+def test_short_rates_name_the_lengths():
+    with pytest.raises(ValueError, match=r"shape \(1,\) for 2 operators"):
+        propagate_exact(TWO_OPS, hilbert.outer(PLUS, PLUS), 1.0, rates=[1.0])
+    # well-formed rates are accepted in any real numeric form
+    rho0 = hilbert.outer(PLUS, PLUS)
+    assert np.array_equal(propagate_exact(TWO_OPS, rho0, 1.0, rates=[1, 0]),
+                          propagate_exact(TWO_OPS, rho0, 1.0,
+                                          rates=np.array([1.0, 0.0])))

@@ -64,6 +64,28 @@ def test_trajectory_rng_is_a_pure_function_of_seed_and_index():
     assert not np.array_equal(a, d)
 
 
+def philox_state_bytes(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tobytes(), s["state"]["key"].tobytes(),
+            s["buffer"].tobytes(), s["buffer_pos"], s["has_uint32"],
+            s["uinteger"])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("index", [0, 7, 2 ** 40 + 3, 2 ** 64 - 1])
+def test_trajectory_rng_is_philox_keyed_by_seed_and_index(seed, index):
+    # the key is handed over as the seed sequence's state: same key, counter
+    # and stream as Philox(key=...), without drawing OS entropy
+    got = trajectory_rng(seed, index)
+    key = np.array([seed, index], dtype=np.uint64)
+    ref = np.random.Generator(np.random.Philox(key=key))
+    assert got.bit_generator.state["state"]["key"].tobytes() == key.tobytes()
+    assert philox_state_bytes(got) == philox_state_bytes(ref)
+    assert (got.standard_normal(1000).tobytes()
+            == ref.standard_normal(1000).tobytes())
+    assert philox_state_bytes(got) == philox_state_bytes(ref)
+
+
 def test_wiener_increment_moments():
     rng = trajectory_rng(0, 0)
     dW = wiener_increments(rng, 200_000, 0.01)
