@@ -103,7 +103,8 @@ class GKSForm:
         basis = self.basis_ops or tuple(gell_mann_basis(d))
         basis = tuple(hilbert.as_operator(F, dim=d) for F in basis)
         flat = np.reshape(basis, (len(basis), d * d))
-        bad = np.flatnonzero(np.abs(flat[:, ::d + 1].sum(axis=1)) > TOL.hermitian)
+        traces = flat[:, ::d + 1].sum(axis=1)
+        bad = np.flatnonzero(np.abs(traces) > TOL.hermitian)
         if bad.size:
             raise ValueError(f"basis op {bad[0]} is not traceless")
         gram = flat.conj() @ flat.T         # Tr(F_a^dag F_b)
