@@ -9,6 +9,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import deque
 
 import numpy as np
 
@@ -35,12 +36,56 @@ def _json(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _conjugate_text(text):
+    """Negate every imaginary part of a compact [[re, im], ...] list.
+
+    Inside a pair the only comma precedes the imaginary part, so a minus
+    sign is put after it and a doubled one cancelled; signed zeros flip
+    too, exactly as float.__repr__ would print the conjugate.
+    """
+    return (text.replace("],[", "]|[").replace(",", ",-")
+            .replace(",--", ",").replace("]|[", "],["))
+
+
+def _rows(M):
+    """Yield the _json(complex_to_pairs(row)) text of each row of square M.
+
+    Each row is formatted from its diagonal on.  Below the diagonal a
+    Hermitian matrix repeats the rows above, conjugated, so the text of
+    every entry right of the diagonal is held, conjugated, for the row it
+    mirrors into.  A row takes that held text only where its part left of
+    the diagonal is finite and bit-equal to the conjugate of the column
+    above (NaN prints without a sign); otherwise that part is formatted
+    as well.  The bytes are the same either way, for any matrix.
+    """
+    M = np.ascontiguousarray(M, dtype=complex)
+    held = deque([] for _ in range(len(M)))   # text for rows i, i+1, ...
+    for i, row in enumerate(M):
+        prefix = held.popleft()
+        tail = _json(complex_to_pairs(row[i:]))
+        mirrored = _conjugate_text(tail)[2:-2].split("],[")[1:]
+        for below, entry in zip(held, mirrored):
+            below.append(entry)
+        if not i:
+            yield tail
+            continue
+        lower = row[:i]
+        if (np.isfinite(lower).all()
+                and np.array_equal(lower.view(np.uint64),
+                                   M[:i, i].conj().view(np.uint64))):
+            head = "[[" + "],[".join(prefix) + "]"
+        else:
+            head = _json(complex_to_pairs(lower))[:-1]
+        yield head + "," + tail[1:]
+
+
 def _write_json(path, payload):
     """Write payload as compact JSON with sorted keys.
 
     json.dumps takes the C encoder (json.dump never does).  An ndarray
-    value of a dict payload is written one row at a time as nested [re, im]
-    pairs, so a large complex matrix is never held as one string.
+    value of a dict payload, a square complex matrix, is written one row
+    at a time as nested [re, im] pairs (see _rows), so it is never held
+    as one string.
     """
     with open(path, "w") as fh:
         if not isinstance(payload, dict):
@@ -52,9 +97,8 @@ def _write_json(path, payload):
                 value = payload[key]
                 if isinstance(value, np.ndarray):
                     fh.write("[")
-                    for j, row in enumerate(value):
-                        fh.write(("," if j else "")
-                                 + _json(complex_to_pairs(row)))
+                    for j, row in enumerate(_rows(value)):
+                        fh.write(("," if j else "") + row)
                     fh.write("]")
                 else:
                     fh.write(_json(value))

@@ -102,8 +102,20 @@ def _positive_int(value, name):
     return int(value)
 
 
+def _numbers(values, name):
+    """A list of JSON numbers, as floats."""
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioError(f"{name}: must be a list of numbers, "
+                            f"got {values!r}")
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(f"{name}[{i}]: must be a number, "
+                                f"got {value!r}")
+    return [float(value) for value in values]
+
+
 def scenario_from_dict(data):
-    dim = int(_require(data, "dim"))
+    dim = _positive_int(_require(data, "dim"), "dim")
     H = pairs_to_complex(_require(data, "hamiltonian"), "hamiltonian")
     if H.shape != (dim, dim):
         raise ScenarioError(f"hamiltonian: shape {H.shape}, expected ({dim}, {dim})")
@@ -169,9 +181,10 @@ def scenario_from_dict(data):
         psi0=psi0, integration=integration,
         trajectories=_positive_int(data.get("trajectories", 1),
                                    "trajectories"),
-        checkpoints=[float(t) for t in data.get("checkpoints", [])],
+        checkpoints=_numbers(data.get("checkpoints", []), "checkpoints"),
         gks=gks,
-        variance_phases=[float(f) for f in data.get("variance_phases", [])],
+        variance_phases=_numbers(data.get("variance_phases", []),
+                                 "variance_phases"),
     )
     try:
         scenario.model()

@@ -52,28 +52,26 @@ class VerificationReport:
         }
 
 
-def _canonical(obj):
+def _jsonable(obj):
+    """json.dumps hook: numpy arrays and scalars and complex numbers as
+    plain lists and numbers (complex values as [re, im] pairs)."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
             return complex_to_pairs(obj)
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def config_hash(config):
     """SHA-256 of the canonical JSON form of a configuration mapping."""
-    payload = json.dumps(_canonical(config), sort_keys=True,
-                         separators=(",", ":"))
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":"),
+                         default=_jsonable)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

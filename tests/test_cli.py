@@ -8,6 +8,7 @@ import pytest
 from qunravel import cli, lindblad
 from qunravel.hilbert import SIGMA_Z
 from qunravel.scenario import complex_to_pairs, pairs_to_complex, parse_scenario
+from qunravel.verify import random_model
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -25,6 +26,16 @@ def small_scenario(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def gks_block():
+    """A d=2 GKS form whose Kossakowski matrix has a negative eigenvalue."""
+    return {
+        "hamiltonian": complex_to_pairs(np.zeros((2, 2))),
+        "kossakowski": complex_to_pairs(np.diag([1.0, -0.5]).astype(complex)),
+        "basis": [complex_to_pairs(np.array([[0, 1], [1, 0]]) * S2),
+                  complex_to_pairs(np.array([[0, -1j], [1j, 0]]) * S2)],
+    }
 
 
 def write(tmp_path, data, name="scenario.json"):
@@ -146,6 +157,22 @@ def test_bad_trajectory_count_exits_2(tmp_path, capsys, command, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "choi"])
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", "two", "dim: must be a positive integer"),
+    ("dim", 2.5, "dim: must be a positive integer"),
+    ("checkpoints", [0.01, "later"], "checkpoints[1]: must be a number"),
+    ("variance_phases", ["pi"], "variance_phases[0]: must be a number"),
+])
+def test_bad_scenario_field_exits_2(tmp_path, capsys, command, field, value,
+                                    message):
+    scn = write(tmp_path, small_scenario(**{field: value}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-1", "1.5", "two"])
 def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, threads):
     scn = write(tmp_path, small_scenario())
@@ -158,12 +185,7 @@ def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, threads):
 
 def test_diagonalize_command(tmp_path):
     data = small_scenario()
-    data["gks"] = {
-        "hamiltonian": complex_to_pairs(np.zeros((2, 2))),
-        "kossakowski": complex_to_pairs(np.diag([1.0, -0.5]).astype(complex)),
-        "basis": [complex_to_pairs(np.array([[0, 1], [1, 0]]) * S2),
-                  complex_to_pairs(np.array([[0, -1j], [1j, 0]]) * S2)],
-    }
+    data["gks"] = gks_block()
     scn = write(tmp_path, data)
     out = tmp_path / "out"
     assert cli.main(["diagonalize", "--scenario", scn, "--out", str(out)]) == 0
@@ -189,12 +211,7 @@ def test_choi_command_model_and_gks(tmp_path):
     assert_compact_sorted_json(out / "choi.json")
 
     data = small_scenario()
-    data["gks"] = {
-        "hamiltonian": complex_to_pairs(np.zeros((2, 2))),
-        "kossakowski": complex_to_pairs(np.diag([1.0, -0.5]).astype(complex)),
-        "basis": [complex_to_pairs(np.array([[0, 1], [1, 0]]) * S2),
-                  complex_to_pairs(np.array([[0, -1j], [1j, 0]]) * S2)],
-    }
+    data["gks"] = gks_block()
     scn2 = write(tmp_path, data, "gks.json")
     out2 = tmp_path / "out2"
     assert cli.main(["choi", "--scenario", scn2, "--out", str(out2),
@@ -204,6 +221,98 @@ def test_choi_command_model_and_gks(tmp_path):
     assert payload2["min_eigenvalue"] < -1e-6
     choi2 = lindblad.gks_choi_matrix(parse_scenario(scn2).gks, 0.05)
     assert np.array_equal(pairs_to_complex(payload2["choi"]), choi2)
+
+
+def plain_rows(M):
+    """Reference: each row formatted in full, as the C encoder prints it."""
+    return [cli._json(complex_to_pairs(row)) for row in M]
+
+
+def bit_hermitian(rng, n):
+    """A random matrix whose lower triangle is the exact conjugate of its
+    upper one; the diagonal's imaginary parts are +0.0."""
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    lower = np.tril_indices(n, -1)
+    M[lower] = M.T.conj()[lower]
+    M[np.diag_indices(n)] = M.diagonal().real
+    return M
+
+
+def formatted_entries(monkeypatch):
+    """Count the complex entries _rows hands to complex_to_pairs."""
+    count = [0]
+
+    def counting(M):
+        count[0] += np.size(M)
+        return complex_to_pairs(M)
+
+    monkeypatch.setattr(cli, "complex_to_pairs", counting)
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_rows_format_a_hermitian_matrix_once_with_the_same_bytes(
+        monkeypatch, n):
+    M = bit_hermitian(np.random.default_rng(n), n)
+    expected = plain_rows(M)
+    count = formatted_entries(monkeypatch)
+    assert list(cli._rows(M)) == expected
+    assert count[0] == n * (n + 1) // 2
+
+
+def test_rows_mirror_signed_zeros_subnormals_and_exponents(monkeypatch):
+    M = bit_hermitian(np.random.default_rng(5), 6)
+    upper = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+             complex(5e-324, -2.5e-320), complex(1e-05, 1e+16),
+             complex(-1.5e+300, 1e22), complex(0.1, -7e-08)]
+    for (i, j), z in zip(zip(*np.triu_indices(6, 1)), upper):
+        M[i, j], M[j, i] = z, z.conjugate()
+    M[0, 0] = complex(3.0, -0.0)   # the diagonal is never mirrored
+    expected = plain_rows(M)
+    for text in ["[0.0,0.0]", "[-0.0,-0.0]", "[-0.0,0.0]", "[0.0,-0.0]",
+                 "5e-324", "2.5e-320", "[1e-05,-1e+16]", "[3.0,-0.0]"]:
+        assert text in "".join(expected)
+    count = formatted_entries(monkeypatch)
+    assert list(cli._rows(M)) == expected
+    assert count[0] == 6 * 7 // 2
+
+
+def test_rows_format_what_is_not_a_finite_exact_mirror(monkeypatch):
+    rng = np.random.default_rng(9)
+    general = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    flipped = bit_hermitian(rng, 7)
+    flipped.view(np.uint64).reshape(7, 14)[5, 2 * 2 + 1] ^= 1
+    nonfinite = bit_hermitian(rng, 7)
+    for (i, j), z in [((0, 3), complex(np.nan, np.inf)),
+                      ((1, 2), complex(np.inf, -np.inf)),
+                      ((4, 6), complex(-np.inf, np.nan))]:
+        nonfinite[i, j], nonfinite[j, i] = z, np.conj(z)
+    for M, extra in [(general, 21), (flipped, 5), (nonfinite, 3 + 2 + 6)]:
+        expected = plain_rows(M)
+        count = formatted_entries(monkeypatch)
+        assert list(cli._rows(M)) == expected
+        # every row whose lower part is not an exact mirror is formatted
+        # in full: extra counts the entries left of its diagonal
+        assert count[0] == 28 + extra
+    assert "NaN" in plain_rows(nonfinite)[3]
+
+
+def test_choi_file_is_the_plain_per_row_text(tmp_path):
+    model = random_model(np.random.default_rng(8), 8, 2)
+    d8 = {"dim": 8, "hamiltonian": complex_to_pairs(model.hamiltonian),
+          "lindblad_ops": [complex_to_pairs(L) for L in model.lindblad_ops]}
+    gks = dict(small_scenario(), gks=gks_block())
+    for data, time in [(d8, 0.2), (gks, 0.05)]:
+        scn = write(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["choi", "--scenario", scn, "--out", str(out),
+                         "--time", str(time)]) == 0
+        scenario = parse_scenario(scn)
+        choi = (lindblad.gks_choi_matrix(scenario.gks, time) if scenario.gks
+                else lindblad.choi_matrix(scenario.model(), time))
+        text = (out / "choi.json").read_text()
+        payload = dict(json.loads(text), choi=complex_to_pairs(choi))
+        assert text == cli._json(payload) + "\n"
 
 
 @pytest.mark.parametrize("time", ["0", "-0.5", "nan", "inf"])

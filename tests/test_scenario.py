@@ -125,6 +125,34 @@ def test_bad_trajectory_count_is_rejected(count):
         scenario_from_dict(bad)
 
 
+@pytest.mark.parametrize("dim", ["two", "2", 2.5, 0, True, None])
+def test_bad_dim_is_rejected(dim):
+    bad = json.loads(json.dumps(MINIMAL))
+    bad["dim"] = dim
+    with pytest.raises(ScenarioError, match="dim: must be a positive integer"):
+        scenario_from_dict(bad)
+
+
+def test_integral_dim_is_accepted():
+    data = json.loads(json.dumps(MINIMAL))
+    data["dim"] = 2.0
+    assert scenario_from_dict(data).dim == 2
+
+
+@pytest.mark.parametrize("field", ["checkpoints", "variance_phases"])
+@pytest.mark.parametrize("values, message", [
+    (["a"], r"\[0\]: must be a number"),
+    ([0.05, None], r"\[1\]: must be a number"),
+    ([True], r"\[0\]: must be a number"),
+    (0.05, ": must be a list of numbers"),
+])
+def test_non_numeric_time_lists_are_rejected(field, values, message):
+    bad = json.loads(json.dumps(MINIMAL))
+    bad[field] = values
+    with pytest.raises(ScenarioError, match=field + message):
+        scenario_from_dict(bad)
+
+
 def test_integral_trajectory_count_is_accepted():
     data = json.loads(json.dumps(MINIMAL))
     data["trajectories"] = 40.0

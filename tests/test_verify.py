@@ -1,19 +1,25 @@
 """Tests for the verification harness: hashing, checks, fault injection,
 and the suite runner."""
 
+import hashlib
+import importlib.resources
+import json
+
 import numpy as np
 import pytest
 
 from qunravel import verify
 from qunravel.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from qunravel.lindblad import GKSForm, LindbladModel
-from qunravel.scenario import ScenarioError, complex_to_pairs
+from qunravel.scenario import (ScenarioError, complex_to_pairs,
+                               pairs_to_complex, scenario_from_dict)
 from qunravel.sde import IntegrationConfig
 from qunravel.unraveling import Unraveling
 from qunravel.verify import (check_complete_positivity, check_ensemble_vs_exact,
                              check_generator_identity,
                              check_unraveling_equivalence, config_hash,
-                             generator_deviation, random_freedom, random_model,
+                             generator_deviation, random_freedom,
+                             random_hermitian, random_model,
                              random_state, random_unitary, run_suite,
                              statistical_tolerance, suite_ok)
 
@@ -31,6 +37,82 @@ def test_config_hash_is_stable_and_key_order_insensitive():
     assert config_hash({"m": np.eye(2)}) == config_hash({"m": [[1.0, 0.0],
                                                                [0.0, 1.0]]})
     assert config_hash({"z": 1 + 2j}) == config_hash({"z": [1.0, 2.0]})
+
+
+def canonical_by_recursion(obj):
+    """Reference: the recursive canonical form config_hash used to build."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return complex_to_pairs(obj)
+        return obj.tolist()
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, dict):
+        return {k: canonical_by_recursion(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [canonical_by_recursion(v) for v in obj]
+    return obj
+
+
+def hash_by_recursion(config):
+    payload = json.dumps(canonical_by_recursion(config), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def numpy_flavoured(obj, rng):
+    """Swap plain values for the numpy and complex values callers pass."""
+    if isinstance(obj, dict):
+        return {k: numpy_flavoured(v, rng) for k, v in obj.items()}
+    if isinstance(obj, list):
+        if obj and all(isinstance(v, list) and len(v) == 2
+                       and all(isinstance(x, float) for x in v) for v in obj):
+            if rng.random() < 0.5:
+                return pairs_to_complex(obj)     # a complex ndarray
+        out = [numpy_flavoured(v, rng) for v in obj]
+        return tuple(out) if rng.random() < 0.2 else out
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return np.int64(obj) if rng.random() < 0.5 else obj
+    if isinstance(obj, float):
+        return [np.float64, np.float32, float][rng.integers(3)](obj)
+    return obj
+
+
+def test_config_hash_matches_the_recursive_canonical_form():
+    rng = np.random.default_rng(19)
+    ref = importlib.resources.files("qunravel") / "data" / "default_suite.json"
+    entries = json.loads(ref.read_text())["checks"]
+    for _ in range(4):
+        for entry in entries:
+            config = numpy_flavoured(entry, rng)
+            assert config_hash(config) == hash_by_recursion(config)
+    special = {"z": complex(-0.0, 5e-324), "w": np.complex128(1e16 - 1e-05j),
+               "m": np.array([[np.nan, np.inf], [-0.0, 1e300]]),
+               "v": (np.float32(0.1), np.int32(-3), None, True, "s")}
+    assert config_hash(special) == hash_by_recursion(special)
+
+    # a GKS scenario with a dense Kossakowski matrix, as cli hashes it
+    d = 6
+    H = random_hermitian(rng, d)
+    H -= np.trace(H) / d * np.eye(d)
+    M = rng.normal(size=(d * d - 1,) * 2) + 1j * rng.normal(size=(d * d - 1,) * 2)
+    scenario = scenario_from_dict({
+        "dim": d, "hamiltonian": complex_to_pairs(H), "lindblad_ops": [],
+        "gks": {"hamiltonian": complex_to_pairs(H),
+                "kossakowski": complex_to_pairs(M @ M.conj().T)}})
+    for config in [{"scenario": scenario.to_dict(), "seed": 0},
+                   {"hamiltonian": scenario.gks.hamiltonian,
+                    "kossakowski": scenario.gks.kossakowski,
+                    "basis": scenario.gks.basis_ops, "seed": np.int64(0)}]:
+        assert config_hash(config) == hash_by_recursion(config)
+    with pytest.raises(TypeError):
+        config_hash({"x": object()})
 
 
 def test_statistical_tolerance_formula():
