@@ -18,6 +18,10 @@ from .scenario import Scenario, ScenarioError, complex_to_pairs, parse_scenario
 from .unraveling import Unraveling
 
 _FMT = "%.17g"   # lossless double round-trip
+# Compact, sorted-key JSON through the C encoder.  The payloads are trees of
+# lists, dicts and numbers, never circular, so the cycle check is skipped.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                         check_circular=False).encode
 
 
 def _fmt(x):
@@ -30,10 +34,6 @@ def _write_csv(path, header_fields, columns, rows):
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _json(value):
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _conjugate_text(text):
@@ -82,7 +82,7 @@ def _rows(M):
 def _write_json(path, payload):
     """Write payload as compact JSON with sorted keys.
 
-    json.dumps takes the C encoder (json.dump never does).  An ndarray
+    _json takes the C encoder (json.dump never does).  An ndarray
     value of a dict payload, a square complex matrix, is written one row
     at a time as nested [re, im] pairs (see _rows), so it is never held
     as one string.
@@ -115,8 +115,11 @@ def _load(args):
     if args.seed is not None:
         if scenario.integration is None:
             raise ScenarioError("scenario has no integration block to seed")
-        scenario.integration = dataclasses.replace(scenario.integration,
-                                                   seed=args.seed)
+        try:
+            scenario.integration = dataclasses.replace(scenario.integration,
+                                                       seed=args.seed)
+        except ValueError as exc:
+            raise ScenarioError(f"--seed: {exc}") from None
     if args.no_renormalize and scenario.integration is not None:
         scenario.integration = dataclasses.replace(scenario.integration,
                                                    renormalize=False)

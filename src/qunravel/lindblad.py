@@ -15,7 +15,6 @@ complex one.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import hilbert
 from .tolerances import TOL
@@ -290,8 +289,10 @@ def propagate_exact(model, rho0, t, rates=None):
     Hermitian) is computed (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
     488), each time reached from the previous one in sorted order.
     """
-    # Imported here: scipy.sparse.linalg adds ~3.5 MB to the resident size
-    # of every process that imports qunravel, and most never call the oracle.
+    # Imported here, as expm is in _choi: loading scipy takes about 0.3 s
+    # and 25 MB of resident memory, and simulations, variance scans and GKS
+    # diagonalizations never call the oracle, so `import qunravel` loads
+    # numpy only.
     from scipy.sparse.linalg import expm_multiply
 
     times = np.asarray(t, dtype=float)
@@ -330,6 +331,8 @@ def _choi(t, d, build_superop):
     # propagator R is gathered straight into the Choi layout, block by
     # block of P = T R T^dag.  The blocks of the q rows and columns are the
     # conjugates of those of the p ones, so the result is exactly Hermitian.
+    from scipy.linalg import expm     # imported here: see propagate_exact
+
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")
     S = _real_superop(build_superop(), d)

@@ -92,14 +92,27 @@ def _require(data, key):
     return data[key]
 
 
-def _positive_int(value, name):
-    """A count given as a JSON number: an integral value of at least 1."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+def _is_number(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _integer(value, name, minimum=1):
+    """A count or seed given as a JSON number: an integral value of at
+    least minimum (1 or 0)."""
+    if (not _is_number(value)
             or isinstance(value, float) and not value.is_integer()
-            or value < 1):
-        raise ScenarioError(f"{name}: must be a positive integer, "
+            or value < minimum):
+        kind = "positive" if minimum else "non-negative"
+        raise ScenarioError(f"{name}: must be a {kind} integer, "
                             f"got {value!r}")
     return int(value)
+
+
+def _number(value, name):
+    """A JSON number, as a float."""
+    if not _is_number(value):
+        raise ScenarioError(f"{name}: must be a number, got {value!r}")
+    return float(value)
 
 
 def _numbers(values, name):
@@ -107,15 +120,33 @@ def _numbers(values, name):
     if not isinstance(values, (list, tuple)):
         raise ScenarioError(f"{name}: must be a list of numbers, "
                             f"got {values!r}")
-    for i, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{name}[{i}]: must be a number, "
-                                f"got {value!r}")
-    return [float(value) for value in values]
+    return [_number(value, f"{name}[{i}]") for i, value in enumerate(values)]
+
+
+def _integration(raw):
+    """The integration block: dt and t_final numbers, seed a non-negative
+    integer, renormalize a boolean and record_stride a positive integer."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"integration: must be an object, got {raw!r}")
+    renormalize = raw.get("renormalize", True)
+    if not isinstance(renormalize, bool):
+        raise ScenarioError(f"integration.renormalize: must be true or "
+                            f"false, got {renormalize!r}")
+    fields = dict(
+        dt=_number(_require(raw, "dt"), "integration.dt"),
+        t_final=_number(_require(raw, "t_final"), "integration.t_final"),
+        seed=_integer(raw.get("seed", 0), "integration.seed", minimum=0),
+        renormalize=renormalize,
+        record_stride=_integer(raw.get("record_stride", 1),
+                               "integration.record_stride"))
+    try:
+        return IntegrationConfig(**fields)
+    except ValueError as exc:
+        raise ScenarioError(f"integration: {exc}") from None
 
 
 def scenario_from_dict(data):
-    dim = _positive_int(_require(data, "dim"), "dim")
+    dim = _integer(_require(data, "dim"), "dim")
     H = pairs_to_complex(_require(data, "hamiltonian"), "hamiltonian")
     if H.shape != (dim, dim):
         raise ScenarioError(f"hamiltonian: shape {H.shape}, expected ({dim}, {dim})")
@@ -147,17 +178,7 @@ def scenario_from_dict(data):
 
     integration = None
     if "integration" in data:
-        raw = data["integration"]
-        try:
-            integration = IntegrationConfig(
-                dt=float(_require(raw, "dt")),
-                t_final=float(_require(raw, "t_final")),
-                seed=int(raw.get("seed", 0)),
-                renormalize=bool(raw.get("renormalize", True)),
-                record_stride=int(raw.get("record_stride", 1)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"integration: {exc}") from None
+        integration = _integration(data["integration"])
 
     gks = None
     if "gks" in data:
@@ -179,8 +200,7 @@ def scenario_from_dict(data):
     scenario = Scenario(
         dim=dim, hamiltonian=H, lindblad_ops=ops, freedom_spec=freedom_spec,
         psi0=psi0, integration=integration,
-        trajectories=_positive_int(data.get("trajectories", 1),
-                                   "trajectories"),
+        trajectories=_integer(data.get("trajectories", 1), "trajectories"),
         checkpoints=_numbers(data.get("checkpoints", []), "checkpoints"),
         gks=gks,
         variance_phases=_numbers(data.get("variance_phases", []),

@@ -69,7 +69,7 @@ class IntegrationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
+        if not (self.dt > 0 and self.t_final > 0):      # NaN included
             raise ValueError("dt and t_final must be positive")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
@@ -181,20 +181,6 @@ def projector_sum(states):
     function of the batch and the same on every thread.
     """
     return np.einsum("bri,brj->rij", states, states.conj())
-
-
-def step(u, psi, dt, dW, renormalize=True):
-    """One Euler-Maruyama step (weak order 1)."""
-    psi = hilbert.as_state(psi, dim=u.dim)
-    dW = np.asarray(dW, dtype=float).reshape(1, 1, -1)
-    if dW.shape[-1] != u.noise_count:
-        raise ValueError(f"expected {u.noise_count} increments, got {dW.shape[-1]}")
-    states, _, _, status = kernels.simulate_chunk(
-        psi, u.K, u.rotated, dt, dW, renormalize,
-        np.array([1], dtype=np.int64), fault=u.fault)
-    if status[0]:
-        raise NormBlowupError(0)
-    return states[0, 0]
 
 
 def _simulate(u, psi0, cfg, start, count, record_steps, dW=None,

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import hilbert, lindblad, sde
 from .lindblad import GKSForm, LindbladModel
-from .scenario import ScenarioError, complex_to_pairs, scenario_from_dict
+from .scenario import (ScenarioError, _integer, _number, _numbers, _require,
+                       complex_to_pairs, scenario_from_dict)
 from .unraveling import Unraveling, UnitaryFreedom, generator_term
 
 
@@ -182,6 +183,8 @@ def check_complete_positivity(gks, times, tolerance=1e-10):
     """Diagonalize the Kossakowski matrix; CP generators must give PSD Choi
     matrices at all times, while any negative rate must show up as a
     negative Choi eigenvalue at the smallest time."""
+    if not len(times):
+        raise ValueError("times must not be empty")
     t0 = time.perf_counter()
     rates, _ops = lindblad.gks_to_lindblad(gks)
     min_rate = min(rates)
@@ -317,39 +320,32 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
 # ---------------------------------------------------------------------------
 # suite runner
 
-def _entry_scenario(entry):
-    try:
-        return scenario_from_dict(entry)
-    except ScenarioError as exc:
-        raise ScenarioError(f"check {entry.get('check', '?')!r}: {exc}") from None
-
-
 def _run_check(kind, entry, threads):
     if kind == "generator-identity":
-        sc = _entry_scenario(entry)
+        sc = scenario_from_dict(entry)
         return check_generator_identity(
             sc.model(), sc.freedom_spec,
-            samples=int(entry.get("samples", 100)),
-            seed=int(entry.get("seed", 0)),
+            samples=_integer(entry.get("samples", 100), "samples"),
+            seed=_integer(entry.get("seed", 0), "seed", minimum=0),
             fault=entry.get("fault"))
     if kind == "ensemble-vs-exact":
-        sc = _entry_scenario(entry)
+        sc = scenario_from_dict(entry)
         return check_ensemble_vs_exact(
             sc.model(), sc.freedom_spec, sc.psi0, sc.integration,
             sc.trajectories, sc.checkpoints, threads=threads)
     if kind == "unraveling-equivalence":
-        sc = _entry_scenario(entry)
+        sc = scenario_from_dict(entry)
         freedoms = entry.get("freedoms", [sc.freedom_spec])
         return check_unraveling_equivalence(
             sc.model(), freedoms, sc.psi0, sc.integration,
-            sc.trajectories, float(entry["t"]),
+            sc.trajectories, _number(_require(entry, "t"), "t"),
             faults=entry.get("faults"), threads=threads)
     if kind == "complete-positivity":
-        sc = _entry_scenario(entry)
+        sc = scenario_from_dict(entry)
         if sc.gks is None:
-            raise ScenarioError("complete-positivity check needs a gks block")
+            raise ScenarioError("needs a gks block")
         return check_complete_positivity(
-            sc.gks, [float(t) for t in entry.get("times", [0.1, 1.0])])
+            sc.gks, _numbers(entry.get("times", [0.1, 1.0]), "times"))
     raise ScenarioError(f"unknown check type {kind!r}")
 
 
@@ -361,7 +357,7 @@ def run_suite(config, threads=1):
     ("pass" by default, "fail" for fault-injection entries).  An entry the
     checks reject as input (an unknown fault, a faults list that does not
     match the freedoms, a checkpoint off the step grid or not positive)
-    raises ScenarioError.
+    raises ScenarioError naming the check.
     """
     if isinstance(config, (str, bytes)) or hasattr(config, "__fspath__"):
         with open(config) as fh:
@@ -377,9 +373,9 @@ def run_suite(config, threads=1):
         try:
             report = _run_check(kind, entry, threads)
         except ValueError as exc:
-            # plain ValueError is input validation; ScenarioError and
-            # LinAlgError are subclasses and pass through unchanged
-            if type(exc) is not ValueError:
+            # a plain ValueError or a ScenarioError is an input error; other
+            # subclasses, such as LinAlgError, pass through unchanged
+            if type(exc) not in (ValueError, ScenarioError):
                 raise
             raise ScenarioError(f"check {kind!r}: {exc}") from None
         report.expect = entry.get("expect", "pass")

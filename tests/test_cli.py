@@ -134,6 +134,25 @@ def test_verify_suite_pass_and_fail_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "out2")]) == 1
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"check": "generator-identity", "samples": [5]},
+     "check 'generator-identity': samples: must be a positive integer"),
+    ({"check": "generator-identity", "seed": 1.5},
+     "check 'generator-identity': seed: must be a non-negative integer"),
+    ({"check": "unraveling-equivalence", "freedoms": ["standard"] * 2},
+     "check 'unraveling-equivalence': missing required field 't'"),
+    ({"check": "complete-positivity", "gks": gks_block(), "lindblad_ops": [],
+      "times": ["1"]},
+     "check 'complete-positivity': times[0]: must be a number"),
+])
+def test_bad_suite_entry_exits_2(tmp_path, capsys, fields, message):
+    scn = write(tmp_path, {"checks": [small_scenario(**fields)]}, "suite.json")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{ not json")
@@ -170,6 +189,36 @@ def test_bad_scenario_field_exits_2(tmp_path, capsys, command, field, value,
     out = tmp_path / "out"
     assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dt", None, "integration.dt: must be a number"),
+    ("seed", [1], "integration.seed: must be a non-negative integer"),
+    ("seed", 1.5, "integration.seed: must be a non-negative integer"),
+    ("renormalize", "false", "integration.renormalize: must be true or false"),
+    ("record_stride", 0, "integration.record_stride: must be a positive "
+                         "integer"),
+])
+def test_bad_integration_field_exits_2(tmp_path, capsys, field, value,
+                                       message):
+    data = small_scenario()
+    data["integration"][field] = value
+    scn = write(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", scn, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_override_out_of_range_exits_2(tmp_path, capsys, seed):
+    scn = write(tmp_path, small_scenario())
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", scn, "--out", str(out),
+                     "--seed", seed]) == 2
+    assert "error: --seed: seed must fit in 64 unsigned bits" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

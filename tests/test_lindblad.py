@@ -1,5 +1,6 @@
 """Tests for the deterministic generator: RHS, superoperator, Choi, GKS."""
 
+import json
 import os
 import subprocess
 import sys
@@ -176,14 +177,61 @@ def test_propagate_exact_rejects_2d_times():
         propagate_exact(DEPHASING, hilbert.outer(PLUS, PLUS), [[0.1, 0.2]])
 
 
-def test_import_does_not_load_sparse_linalg():
-    # the oracle imports scipy.sparse.linalg on first use, not at import
+ONLY_THE_ORACLE_LOADS_SCIPY = """
+import json, sys
+
+def step(name, code=0):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    steps.append([name, code, loaded])
+
+steps = []
+import qunravel
+step("import qunravel")
+from qunravel import cli
+step("import qunravel.cli")
+dephasing, gks, out = sys.argv[1:]
+for command, scenario in (("simulate", dephasing), ("diagonalize", gks),
+                          ("choi", gks)):
+    code = cli.main([command, "--scenario", scenario, "--out", out,
+                     "--threads", "1"])
+    step(command, code)
+print(json.dumps(steps))
+"""
+
+
+def test_only_the_oracle_loads_scipy(tmp_path):
+    # simulating and diagonalizing run on numpy alone; the oracle imports
+    # scipy on first use, and its output does not depend on when it did
+    from qunravel import cli
+    from qunravel.scenario import complex_to_pairs
+
     src = os.path.dirname(os.path.dirname(lindblad.__file__))
-    code = ("import sys, qunravel; "
-            "sys.exit('scipy.sparse.linalg' in sys.modules)")
+    dephasing = os.path.join(src, "qunravel", "data", "dephasing.json")
+    zero = complex_to_pairs(np.zeros((2, 2)))
+    gks = tmp_path / "gks.json"
+    gks.write_text(json.dumps({
+        "dim": 2, "hamiltonian": zero, "lindblad_ops": [],
+        "gks": {"hamiltonian": zero,
+                "kossakowski": complex_to_pairs(np.diag([1.0, 0.5, 0.25]))}}))
+    lazy, eager = tmp_path / "lazy", tmp_path / "eager"
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=120).returncode == 0
+    run = subprocess.run([sys.executable, "-c", ONLY_THE_ORACLE_LOADS_SCIPY,
+                          dephasing, str(gks), str(lazy)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    steps = json.loads(run.stdout.splitlines()[-1])
+    assert [name for name, _, _ in steps] == [
+        "import qunravel", "import qunravel.cli", "simulate", "diagonalize",
+        "choi"]
+    for name, code, loaded in steps[:-1]:
+        assert code == 0 and loaded == [], name
+    name, code, loaded = steps[-1]
+    assert code == 0 and "scipy.linalg" in loaded
+    assert "scipy" in sys.modules      # this process imported it up front
+    assert cli.main(["choi", "--scenario", str(gks), "--out", str(eager),
+                     "--threads", "1"]) == 0
+    assert ((lazy / "choi.json").read_bytes()
+            == (eager / "choi.json").read_bytes())
 
 
 def test_choi_matrix_identity_channel():

@@ -111,9 +111,55 @@ def test_bad_freedom_spec_is_reported():
 
 def test_bad_integration_block():
     bad = json.loads(json.dumps(MINIMAL))
-    bad["integration"] = {"dt": -1.0, "t_final": 1.0}
-    with pytest.raises(ScenarioError, match="integration"):
+    for dt in (-1.0, float("nan")):
+        bad["integration"] = {"dt": dt, "t_final": 1.0}
+        with pytest.raises(ScenarioError, match="integration: dt and t_final "
+                                                "must be positive"):
+            scenario_from_dict(bad)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dt", None, "dt: must be a number"),
+    ("dt", "0.001", "dt: must be a number"),
+    ("t_final", [0.1], "t_final: must be a number"),
+    ("t_final", True, "t_final: must be a number"),
+    ("seed", [1], "seed: must be a non-negative integer"),
+    ("seed", 1.5, "seed: must be a non-negative integer"),
+    ("seed", -1, "seed: must be a non-negative integer"),
+    ("seed", "7", "seed: must be a non-negative integer"),
+    ("seed", False, "seed: must be a non-negative integer"),
+    ("renormalize", "false", "renormalize: must be true or false"),
+    ("renormalize", 0, "renormalize: must be true or false"),
+    ("renormalize", None, "renormalize: must be true or false"),
+    ("record_stride", 0, "record_stride: must be a positive integer"),
+    ("record_stride", 2.5, "record_stride: must be a positive integer"),
+    ("record_stride", "10", "record_stride: must be a positive integer"),
+])
+def test_bad_integration_field_is_rejected(field, value, message):
+    bad = json.loads(json.dumps(MINIMAL))
+    bad["integration"][field] = value
+    with pytest.raises(ScenarioError, match=r"^integration\." + message):
         scenario_from_dict(bad)
+
+
+@pytest.mark.parametrize("block", [[0.001, 0.1], 0.001, None])
+def test_integration_block_must_be_an_object(block):
+    bad = dict(MINIMAL, integration=block)
+    with pytest.raises(ScenarioError, match="integration: must be an object"):
+        scenario_from_dict(bad)
+
+
+def test_integration_fields_are_read_as_given():
+    data = json.loads(json.dumps(MINIMAL))
+    data["integration"].update(dt=1, t_final=2, seed=2 ** 64 - 1,
+                               renormalize=False, record_stride=4.0)
+    cfg = scenario_from_dict(data).integration
+    assert (cfg.dt, cfg.t_final, cfg.seed, cfg.renormalize,
+            cfg.record_stride) == (1.0, 2.0, 2 ** 64 - 1, False, 4)
+    assert type(cfg.dt) is float and type(cfg.record_stride) is int
+    data["integration"] = {"dt": 0.001, "t_final": 0.1}
+    cfg = scenario_from_dict(data).integration
+    assert (cfg.seed, cfg.renormalize, cfg.record_stride) == (0, True, 1)
 
 
 @pytest.mark.parametrize("count", [0, -5, 2.7, True, "40", None])

@@ -15,7 +15,7 @@ from qunravel import kernels, sde, verify
 from qunravel.hilbert import SIGMA_Z
 from qunravel.lindblad import LindbladModel
 from qunravel.sde import (IntegrationConfig, NormBlowupError, simulate_ensemble,
-                          simulate_trajectory, step, trajectory_rng)
+                          simulate_trajectory, trajectory_rng)
 from qunravel.unraveling import Unraveling
 
 DEPHASING = Unraveling(LindbladModel(np.zeros((2, 2)), (SIGMA_Z,)), "standard")
@@ -97,12 +97,13 @@ def test_wiener_increment_moments():
 
 def test_step_matches_manual_euler_update():
     dt, dw = 1e-3, 0.02
-    out = step(DEPHASING, PLUS, dt, [dw])
+    states, _, _, status = kernels.simulate_chunk(
+        PLUS, DEPHASING.K, DEPHASING.rotated, dt, np.full((1, 1, 1), dw),
+        True, np.array([1]))
+    assert status.tolist() == [0]
     # manual update at |+>: ell = 0, K = -I/2
     raw = PLUS - 0.5 * dt * PLUS + dw * (SIGMA_Z @ PLUS)
-    assert np.allclose(out, raw / np.linalg.norm(raw), atol=1e-14)
-    with pytest.raises(ValueError):
-        step(DEPHASING, PLUS, dt, [0.1, 0.2])
+    assert np.allclose(states[0, 0], raw / np.linalg.norm(raw), atol=1e-14)
 
 
 def test_simulate_trajectory_records_initial_state():

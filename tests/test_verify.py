@@ -311,6 +311,71 @@ def test_run_suite_dispatch_and_expected_failures():
     assert [r.expect for r in reports] == ["pass", "fail", "pass"]
 
 
+def suite_entry(check, **fields):
+    H = complex_to_pairs(np.zeros((2, 2)))
+    entry = {"check": check, "dim": 2, "hamiltonian": H,
+             "lindblad_ops": [complex_to_pairs(SIGMA_Z)],
+             "psi0": complex_to_pairs(PLUS),
+             "integration": {"dt": 1e-2, "t_final": 0.1, "seed": 4},
+             "trajectories": 10, "freedoms": ["standard", "standard"],
+             "t": 0.1}
+    if check == "complete-positivity":
+        entry.update(lindblad_ops=[], gks={
+            "hamiltonian": H, "kossakowski": complex_to_pairs(np.eye(3))})
+    entry.update(fields)
+    return entry
+
+
+BAD_ENTRIES = [
+    (suite_entry("generator-identity", samples=[5]),
+     "samples: must be a positive integer"),
+    (suite_entry("generator-identity", samples=0),
+     "samples: must be a positive integer"),
+    (suite_entry("generator-identity", samples=2.5),
+     "samples: must be a positive integer"),
+    (suite_entry("generator-identity", seed=-1),
+     "seed: must be a non-negative integer"),
+    (suite_entry("generator-identity", seed=1.5),
+     "seed: must be a non-negative integer"),
+    (suite_entry("generator-identity", seed="0"),
+     "seed: must be a non-negative integer"),
+    (suite_entry("unraveling-equivalence", t="0.1"), "t: must be a number"),
+    (suite_entry("unraveling-equivalence", t=None), "t: must be a number"),
+    ({k: v for k, v in suite_entry("unraveling-equivalence").items()
+      if k != "t"}, "missing required field 't'"),
+    (suite_entry("complete-positivity", times=["0.1"]),
+     r"times\[0\]: must be a number"),
+    (suite_entry("complete-positivity", times=0.1),
+     "times: must be a list of numbers"),
+    (suite_entry("complete-positivity", times=[]), "times must not be empty"),
+    (suite_entry("ensemble-vs-exact", checkpoints=[0.1],
+                 integration={"dt": 1e-2, "t_final": 0.1, "seed": [4]}),
+     r"integration\.seed: must be a non-negative integer"),
+]
+
+
+@pytest.mark.parametrize("entry, message", BAD_ENTRIES)
+def test_run_suite_rejects_bad_entry_fields(entry, message):
+    with pytest.raises(ScenarioError,
+                       match=f"^check '{entry['check']}': {message}"):
+        run_suite({"checks": [entry]})
+
+
+def test_run_suite_entry_fields_are_read_as_given():
+    # integral values of any JSON number type give the same check and hash
+    plain = run_suite({"checks": [
+        suite_entry("generator-identity", samples=20, seed=3),
+        suite_entry("unraveling-equivalence", t=0.1),
+        suite_entry("complete-positivity", times=[0.1, 1])]})
+    floats = run_suite({"checks": [
+        suite_entry("generator-identity", samples=20.0, seed=3.0),
+        suite_entry("unraveling-equivalence", t=0.1),
+        suite_entry("complete-positivity", times=[0.1, 1.0])]})
+    assert ([r.config_hash for r in plain]
+            == [r.config_hash for r in floats])
+    assert plain[0].measured["samples"] == 20
+
+
 def test_run_suite_rejects_unknown_check():
     with pytest.raises(ScenarioError, match="unknown check"):
         run_suite({"checks": [{"check": "nope"}]})
