@@ -223,17 +223,16 @@ def cmd_variance_scan(args):
     cfg = scenario.integration
     chash = _scenario_hash(scenario, cfg.seed)
     curves = []
-    times = None
     for f in phases:
         u = Unraveling(model, f"phase:{f}")
-        est = sde.simulate_ensemble(u, scenario.psi0, cfg,
-                                    scenario.trajectories,
-                                    threads=args.threads, keep_states=True)
-        times = est.times
-        curves.append(observables.variance(est.states, L).mean(axis=0))
+        est = sde.simulate_ensemble(
+            u, scenario.psi0, cfg, scenario.trajectories,
+            threads=args.threads,
+            reducers={"V": lambda psi: observables.variance(psi, L).sum()})
+        curves.append(est.means["V"])
     os.makedirs(args.out, exist_ok=True)
     columns = ["time"] + [f"mean_V_f={f:g}" for f in phases]
-    rows = [[t] + [c[r] for c in curves] for r, t in enumerate(times)]
+    rows = [[t] + [c[r] for c in curves] for r, t in enumerate(est.times)]
     _write_csv(os.path.join(args.out, "variance_scan.csv"),
                [("config_hash", chash), ("seed", cfg.seed)], columns, rows)
     return 0

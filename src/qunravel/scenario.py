@@ -6,7 +6,7 @@ stay language-neutral.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,13 +65,7 @@ class Scenario:
         if self.psi0 is not None:
             out["psi0"] = complex_to_pairs(self.psi0)
         if self.integration is not None:
-            out["integration"] = {
-                "dt": self.integration.dt,
-                "t_final": self.integration.t_final,
-                "seed": self.integration.seed,
-                "renormalize": self.integration.renormalize,
-                "record_stride": self.integration.record_stride,
-            }
+            out["integration"] = asdict(self.integration)
         out["trajectories"] = self.trajectories
         if self.checkpoints:
             out["checkpoints"] = list(self.checkpoints)

@@ -4,31 +4,30 @@ generation with deterministic, parallelism-independent reproducibility.
 Each trajectory i draws its Wiener increments from a counter-based Philox
 stream keyed by (seed, i), so the stream is a pure function of the pair and
 trajectories can be executed in any order or in any number of processes
-without changing a single bit of the result.  Each chunk of trajectories is
-reduced to one projector sum, and the chunk sums are added in chunk order.
+without changing a single bit of the result.
 
 Chunks are the unit of determinism; execution batches are the unit of work.
 A batch is a run of about ceil(n_chunks / threads) whole chunks, fewer when
-its states, one step block of increments and its per-chunk partial sums
-would pass ``_BATCH_BYTES``.  It runs as one kernel call, which draws its
-increments one step block at a time and adds each chunk's projectors into
-that chunk's sum at every record step, so neither the (batch, steps, N)
-increments nor the (batch, R, d) states are ever held unless the caller asks
-to keep the states.
+its states, one step block of increments and its per-chunk sums would pass
+``_BATCH_BYTES``.  It runs as one kernel call, which draws its increments
+one step block at a time.  At every record step each chunk's states go to
+every reducer (the projector sum behind ``rho_hat`` and any the caller
+names), whose chunk sums are added in chunk order, so neither the (batch,
+steps, N) increments nor the (batch, R, d) states are ever held.
 
 With ``threads`` > 1 and more than one batch, the batches run in worker
 processes started by ``fork`` (at most ``threads`` of them, each holding its
-own batch in memory), which return their partial sums, drifts and final
+own batch in memory), which return their per-chunk sums, drifts and final
 states to the caller; ``threads=1``, a single batch, a platform without
 ``fork`` or a daemonic process runs every batch in the calling process and
-starts none.  Calling
-with ``threads`` > 1 from a process that runs threads of its own carries the
-usual ``fork`` caveats: only the calling thread exists in the workers.
+starts none.  Calling with ``threads`` > 1 from a process that runs threads
+of its own carries the usual ``fork`` caveats: only the calling thread
+exists in the workers.
 """
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .unraveling import Unraveling
 
 _DEFAULT_CHUNK = 256
 # bytes a batch of more than one chunk may hold: its states, one step block
-# of increments and its (chunks, R, d, d) partial sums
+# of increments and its per-chunk, per-record reducer sums
 _BATCH_BYTES = 32 * 2 ** 20
 
 
@@ -120,7 +119,7 @@ class EnsembleEstimate:
     norm_drift: np.ndarray = None      # (M,) per-trajectory max deviation
     norm_drift_mean: np.ndarray = None # (M,) per-trajectory mean deviation
     final_states: np.ndarray = None    # (M, d) at the last recorded time
-    states: np.ndarray = None          # (M, len(times), d) when kept
+    means: dict = field(default_factory=dict)  # reducer name -> (R, ...) mean
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -230,28 +229,26 @@ def _batch_layout(n_chunks, chunk_bytes, threads):
     return batches, min(threads, len(batches))
 
 
-def _batch_job(u, psi0, cfg, edges, record_steps, keep_states, dW_chunks):
-    """The function that runs one batch (c0, c1) of the chunks with the
-    given edges and returns its per-chunk (R, d, d) projector sums, the
-    global indices of its blown-up trajectories, its drifts, its final
-    states and, with keep_states, its (rows, R, d) states."""
-    R, d = record_steps.size, u.dim
+def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks):
+    """The function that runs one batch (c0, c1) of the chunks and returns
+    the (chunks, R, ...) sums of each (function, template sum) reducer, the
+    global indices of its blown-up trajectories, its drifts and end states."""
+    R = record_steps.size
 
     def run(batch):
         c0, c1 = batch
         lo, hi = edges[c0], edges[c1]
         rows = [(edges[c] - lo, edges[c + 1] - lo) for c in range(c0, c1)]
-        partials = np.empty((c1 - c0, R, d, d), dtype=complex)
-        finals = np.empty((hi - lo, d), dtype=complex)
-        kept = np.empty((hi - lo, R, d), dtype=complex) if keep_states else None
+        sums = {name: np.empty((c1 - c0, R) + probe.shape, probe.dtype)
+                for name, (_, probe) in reducers.items()}
+        finals = np.empty((hi - lo, u.dim), dtype=complex)
 
         def on_record(r, psi):
-            # each chunk's projectors are summed at every record step, so
-            # that a batch holds its partial sums but never its states
+            # every reducer sums each chunk at every record step, so that a
+            # batch holds its per-chunk sums but never its states
             for c, (a, b) in enumerate(rows):
-                partials[c, r] = projector_sum(psi[a:b, None, :])[0]
-            if keep_states:
-                kept[:, r] = psi
+                for name, (reduce, _) in reducers.items():
+                    sums[name][c, r] = reduce(psi[a:b])
             if r == R - 1:
                 finals[:] = psi
 
@@ -260,8 +257,7 @@ def _batch_job(u, psi0, cfg, edges, record_steps, keep_states, dW_chunks):
             dW = np.concatenate([dW_chunks[c] for c in range(c0, c1)])
         _, drifts, drift_means, status = _simulate(
             u, psi0, cfg, lo, hi - lo, record_steps, dW, on_record)
-        return (partials, lo + np.nonzero(status)[0], drifts, drift_means,
-                finals, kept)
+        return sums, lo + np.nonzero(status)[0], drifts, drift_means, finals
 
     return run
 
@@ -297,18 +293,22 @@ def _fork_pool(job, workers):
 
 
 def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
-                      keep_states=False, chunk_size=_DEFAULT_CHUNK,
+                      reducers=None, chunk_size=_DEFAULT_CHUNK,
                       dW_chunks=None, record_steps=None):
     """Monte Carlo estimate of rho_t = E|psi_t><psi_t| over the record grid.
 
     The result is bitwise independent of `threads`: trajectory i always uses
     the Philox stream keyed by (seed, i), chunk boundaries depend only on
-    `chunk_size`, and per-chunk projector sums are reduced in chunk order.
+    `chunk_size`, and per-chunk sums are reduced in chunk order.
     Execution batches of about ceil(n_chunks / threads) whole chunks run in
     up to `threads` forked worker processes, or in this process when
     `threads` is 1; they change how much runs per kernel call and where,
     but no trajectory's arithmetic.  A norm blow-up raises NormBlowupError
     naming every blown-up trajectory.
+
+    reducers optionally maps a name to a function that takes a chunk's
+    (rows, d) states and returns their sum, reduced like the projectors
+    behind rho_hat; ``means[name]`` holds its (R, ...) ensemble mean.
 
     dW_chunks optionally supplies pregenerated increments per chunk (used by
     the step-size consistency checks to couple runs across dt levels);
@@ -332,6 +332,13 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
             raise ValueError(
                 f"record_steps must be strictly increasing within "
                 f"[1, {cfg.n_steps}], got {record_steps.tolist()}")
+    reducers = dict(reducers or {})
+    if "_projectors" in reducers:
+        raise ValueError("the reducer name '_projectors' is reserved")
+    reducers["_projectors"] = lambda psi: projector_sum(psi[:, None, :])[0]
+    # one sum per reducer at psi0 fixes the shape and dtype of its sums
+    reducers = {name: (reduce, np.asarray(reduce(psi0[None, :])))
+                for name, reduce in reducers.items()}
     R = record_steps.size
     d = u.dim
 
@@ -342,36 +349,35 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
         raise ValueError("dW_chunks must match the chunk layout")
     block = min(kernels.STEP_BLOCK, cfg.n_steps)
     chunk_bytes = (chunk_size * (16 * d + 8 * block * u.noise_count)
-                   + 16 * R * d * d)
+                   + R * sum(probe.nbytes for _, probe in reducers.values()))
     batches, workers = _batch_layout(n_chunks, chunk_bytes, threads)
-    job = _batch_job(u, psi0, cfg, edges, record_steps, keep_states,
-                     dW_chunks)
+    job = _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks)
 
     drifts = np.zeros(n_trajectories)
     drift_means = np.zeros(n_trajectories)
     finals = np.empty((n_trajectories, d), dtype=complex)
-    kept = np.empty((n_trajectories, R, d), dtype=complex) if keep_states else None
-    rho_sum = np.zeros((R, d, d), dtype=complex)
+    totals = {name: np.zeros((R,) + probe.shape, probe.dtype)
+              for name, (_, probe) in reducers.items()}
     blown = []
     pool = _fork_pool(job, workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         results = pool.map(_run_job, batches) if pool else map(job, batches)
         # batch order, then chunk order within each, whatever the worker count
         for (c0, c1), result in zip(batches, results):
-            partials, bad, drift, drift_mean, final, states = result
-            for partial in partials:
-                rho_sum += partial
+            sums, bad, drift, drift_mean, final = result
+            for name, total in totals.items():
+                for partial in sums[name]:
+                    total += partial
             blown.extend(bad)
             lo, hi = edges[c0], edges[c1]
             drifts[lo:hi] = drift
             drift_means[lo:hi] = drift_mean
             finals[lo:hi] = final
-            if keep_states:
-                kept[lo:hi] = states
     if blown:
         raise NormBlowupError(blown)
 
-    rho_hat = rho_sum / n_trajectories
+    means = {name: total / n_trajectories for name, total in totals.items()}
+    rho_hat = means.pop("_projectors")
     # For unit-norm projectors E||P||_F^2 = 1, so the Frobenius-scale Monte
     # Carlo error is sqrt((1 - ||rho||_F^2) / M).
     frob2 = np.sum(np.abs(rho_hat) ** 2, axis=(1, 2))
@@ -381,4 +387,4 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
                             std_error=std_error, seed=cfg.seed,
                             norm_drift_max=float(np.max(drifts)),
                             norm_drift=drifts, norm_drift_mean=drift_means,
-                            final_states=finals, states=kept)
+                            final_states=finals, means=means)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -89,12 +89,6 @@ def _model_config(model):
         "hamiltonian": complex_to_pairs(model.hamiltonian),
         "lindblad_ops": [complex_to_pairs(L) for L in model.lindblad_ops],
     }
-
-
-def _cfg_config(cfg):
-    return {"dt": cfg.dt, "t_final": cfg.t_final, "seed": cfg.seed,
-            "renormalize": cfg.renormalize,
-            "record_stride": cfg.record_stride}
 
 
 def statistical_tolerance(n_trajectories, dt, dim):
@@ -257,7 +251,7 @@ def check_ensemble_vs_exact(model, freedom, psi0, cfg, n_trajectories,
         config_hash=config_hash({
             "check": "ensemble-vs-exact", "model": _model_config(model),
             "freedom": _freedom_config(u.freedom),
-            "psi0": complex_to_pairs(psi0), "integration": _cfg_config(cfg),
+            "psi0": complex_to_pairs(psi0), "integration": asdict(cfg),
             "n_trajectories": n_trajectories,
             "checkpoints": list(checkpoints)}),
     )
@@ -312,7 +306,7 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
             "check": "unraveling-equivalence", "model": _model_config(model),
             "freedoms": [_freedom_config(u.freedom) for u in unravelings],
             "faults": faults, "psi0": complex_to_pairs(psi0),
-            "integration": _cfg_config(cfg),
+            "integration": asdict(cfg),
             "n_trajectories": n_trajectories, "t": t}),
     )
 
@@ -352,12 +346,12 @@ def _run_check(kind, entry, threads):
 def run_suite(config, threads=1):
     """Execute the named checks of a suite configuration in declared order.
 
-    config is a dict (or a path to a JSON file) with a "checks" list; each
-    entry combines scenario fields with "check" and optional "expect"
-    ("pass" by default, "fail" for fault-injection entries).  An entry the
-    checks reject as input (an unknown fault, a faults list that does not
-    match the freedoms, a checkpoint off the step grid or not positive)
-    raises ScenarioError naming the check.
+    config is a dict (or a path to a JSON file) with a "checks" list of
+    objects, each scenario fields with "check" and optional "expect" ("pass"
+    by default, "fail" for fault-injection entries); any other shape raises
+    ScenarioError.  An entry the checks reject as input (an unknown fault, a
+    faults list that does not match the freedoms, a checkpoint off the step
+    grid or not positive) raises ScenarioError naming the check.
     """
     if isinstance(config, (str, bytes)) or hasattr(config, "__fspath__"):
         with open(config) as fh:
@@ -367,8 +361,13 @@ def run_suite(config, threads=1):
                 raise ScenarioError(
                     f"suite: invalid JSON at line {exc.lineno}: {exc.msg}"
                 ) from None
+    checks = config.get("checks", []) if isinstance(config, dict) else None
+    if not (isinstance(checks, list)
+            and all(isinstance(entry, dict) for entry in checks)):
+        raise ScenarioError("suite: must be an object whose 'checks' is a "
+                            "list of objects")
     reports = []
-    for entry in config.get("checks", []):
+    for entry in checks:
         kind = entry.get("check")
         try:
             report = _run_check(kind, entry, threads)

@@ -111,16 +111,15 @@ def test_criterion_04_born_rule_and_martingale():
     u = Unraveling(DEPHASING, "standard")
     cfg = q.IntegrationConfig(dt=1e-3, t_final=10.0, seed=404,
                               record_stride=1000)
-    est = q.simulate_ensemble(u, PSI_37, cfg, 10_000, threads=4,
-                              keep_states=True)
+    est = q.simulate_ensemble(u, PSI_37, cfg, 10_000, threads=4)
     rep = observables.born_statistics(est.final_states, SIGMA_Z, psi0=PSI_37)
     # outcomes are sorted ascending, so index 1 is the +1 sector (= |0>)
     assert rep.outcomes == pytest.approx([-1.0, 1.0])
     freq_err = abs(rep.frequencies[1] - 0.30)
     tol_freq = 3.0 * np.sqrt(0.3 * 0.7 / 10_000)
-    # martingale property: E<P_+> is conserved at 0.30 along the flow
-    p_plus = np.abs(est.states[:, :, 0]) ** 2
-    martingale_err = float(np.max(np.abs(p_plus.mean(axis=0) - 0.30)))
+    # martingale property: E<P_+> = rho_hat[0, 0] is conserved at 0.30
+    p_plus = est.rho_hat[:, 0, 0].real
+    martingale_err = float(np.max(np.abs(p_plus - 0.30)))
     passed = freq_err <= tol_freq and martingale_err <= 0.02
     report(4, "born-rule", passed,
            f"+1 frequency {rep.frequencies[1]:.4f} "
@@ -134,15 +133,17 @@ def test_criterion_05_variance_drift_law():
     slope 1 +- 0.1 for f in {0, pi/4}; for f = pi/2 the drift estimate is
     0 +- 0.02."""
     details, passed = [], True
+    moments = {"V": lambda psi: observables.variance(psi, SIGMA_Z).sum(),
+               "V2": lambda psi: (observables.variance(psi, SIGMA_Z) ** 2
+                                  ).sum()}
     for f in (0.0, np.pi / 4, np.pi / 2):
         u = Unraveling(DEPHASING, f"phase:{f}")
         cfg = q.IntegrationConfig(dt=1e-3, t_final=0.2, seed=17,
                                   record_stride=10)
         est = q.simulate_ensemble(u, PSI_37, cfg, 10_000, threads=4,
-                                  keep_states=True)
-        V = observables.variance(est.states, SIGMA_Z)     # (M, R)
-        v_bar = V.mean(axis=0)
-        pred = (-4.0 * np.cos(f) ** 2 * V ** 2).mean(axis=0)
+                                  reducers=moments)
+        v_bar = est.means["V"]
+        pred = -4.0 * np.cos(f) ** 2 * est.means["V2"]
         dt_rec = est.times[1] - est.times[0]
         y = np.diff(v_bar) / dt_rec
         x = 0.5 * (pred[1:] + pred[:-1])     # trapezoid midpoint

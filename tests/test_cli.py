@@ -1,6 +1,7 @@
 """End-to-end CLI tests running the entry point in-process."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,16 @@ def test_bad_suite_entry_exits_2(tmp_path, capsys, fields, message):
     out = tmp_path / "out"
     assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", [[1], {"checks": 5}, {"checks": [5]}])
+def test_malformed_suite_exits_2(tmp_path, capsys, suite):
+    scn = write(tmp_path, suite, "suite.json")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
+    assert ("error: suite: must be an object whose 'checks' is a list of "
+            "objects") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -374,19 +385,44 @@ def test_choi_rejects_non_positive_time(tmp_path, capsys, time):
     assert not out.exists()
 
 
-def test_variance_scan_command(tmp_path):
-    data = small_scenario()
+@pytest.mark.parametrize("threads", [1, 2])
+def test_variance_scan_command(tmp_path, threads):
+    # 600 trajectories make three chunks, so threads=2 forks two workers
+    data = small_scenario(trajectories=600)
     data["variance_phases"] = [0.0, np.pi / 2]
     scn = write(tmp_path, data)
     out = tmp_path / "out"
-    assert cli.main(["variance-scan", "--scenario", scn,
-                     "--out", str(out)]) == 0
-    lines = (out / "variance_scan.csv").read_text().splitlines()
+    assert cli.main(["variance-scan", "--scenario", scn, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+    text = (out / "variance_scan.csv").read_bytes()
+    lines = text.decode().splitlines()
     assert lines[1].split(",") == ["time", "mean_V_f=0", "mean_V_f=1.5708"]
     rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
     # f = pi/2 conserves the variance exactly for this model; f = 0 collapses
     assert np.allclose(rows[:, 2], 1.0, atol=1e-9)
     assert rows[-1, 1] < 1.0
+    serial = tmp_path / "serial"
+    assert cli.main(["variance-scan", "--scenario", scn, "--out", str(serial),
+                     "--threads", "1"]) == 0
+    assert (serial / "variance_scan.csv").read_bytes() == text
+
+
+def test_variance_scan_memory_does_not_grow_with_the_ensemble(tmp_path):
+    # 1024 trajectories recorded at 500 steps: keeping their (M, R, d)
+    # states would take 16.4 MB; their per-chunk sums take 144 kB
+    data = small_scenario(trajectories=1024, variance_phases=[0.0])
+    data["integration"] = {"dt": 1e-3, "t_final": 0.5, "seed": 3,
+                           "record_stride": 1}
+    scn = write(tmp_path, data)
+    kept = 1024 * 500 * 2 * 16
+    tracemalloc.start()
+    try:
+        assert cli.main(["variance-scan", "--scenario", scn,
+                         "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < kept / 2
 
 
 def test_missing_blocks_are_reported(tmp_path):

@@ -29,6 +29,19 @@ def wiener_increments(rng, n, dt):
     return rng.normal(0.0, np.sqrt(dt), size=n)
 
 
+ENSEMBLE_ARRAYS = ("times", "rho_hat", "std_error", "norm_drift",
+                   "norm_drift_mean", "final_states")
+# a nonlinear per-record statistic: <P_0>^2 = |psi_0|^4 per trajectory
+P0_SQUARED = {"p0^2": lambda psi: (np.abs(psi[:, 0]) ** 4).sum()}
+
+
+def ensemble_bytes(est):
+    """The bytes of every array of an ensemble, reducer means included."""
+    arrays = {name: getattr(est, name) for name in ENSEMBLE_ARRAYS}
+    arrays.update(est.means)
+    return {name: array.tobytes() for name, array in arrays.items()}
+
+
 def test_integration_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(dt=0.0, t_final=1.0)
@@ -157,34 +170,26 @@ def test_ensemble_mean_is_a_density_matrix():
     assert np.all(est.std_error <= 1.0 / np.sqrt(500))
 
 
-def test_ensemble_keep_states_shape():
-    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=0, record_stride=5)
-    est = simulate_ensemble(DEPHASING, PLUS, cfg, 10, keep_states=True)
-    assert est.states.shape == (10, 2, 2)
-    assert np.array_equal(est.states[:, -1, :], est.final_states)
-
-
 @pytest.mark.parametrize("threads", [1, 2])
-def test_rho_hat_is_the_mean_projector_of_the_kept_states(threads):
+def test_reducers_leave_rho_hat_unchanged(threads):
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=21, record_stride=4)
-    est = simulate_ensemble(DEPHASING, PLUS, cfg, 601, threads=threads,
-                            keep_states=True, chunk_size=128)
-    ref = np.zeros_like(est.rho_hat)
-    for traj in est.states:
-        for r, psi in enumerate(traj):
-            ref[r] += np.outer(psi, np.conj(psi))
-    ref /= 601
-    assert np.max(np.abs(est.rho_hat - ref)) < 1e-13
-
-
-def test_keeping_states_does_not_change_rho_hat():
-    cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=22, record_stride=4)
-    kept = simulate_ensemble(DEPHASING, PLUS, cfg, 601, keep_states=True,
-                             chunk_size=128)
-    dropped = simulate_ensemble(DEPHASING, PLUS, cfg, 601, chunk_size=128)
-    assert dropped.states is None
-    assert np.array_equal(kept.rho_hat, dropped.rho_hat)
-    assert np.array_equal(kept.final_states, dropped.final_states)
+    plain = simulate_ensemble(DEPHASING, PLUS, cfg, 601, threads=threads,
+                              chunk_size=128)
+    reduced = simulate_ensemble(DEPHASING, PLUS, cfg, 601, threads=threads,
+                                chunk_size=128, reducers=P0_SQUARED)
+    assert plain.means == {}
+    assert reduced.rho_hat.tobytes() == plain.rho_hat.tobytes()
+    assert reduced.final_states.tobytes() == plain.final_states.tobytes()
+    # at the last record each mean is a plain average over the final states
+    finals = plain.final_states
+    p0_squared = np.mean(np.abs(finals[:, 0]) ** 4)
+    assert reduced.means["p0^2"].shape == plain.times.shape
+    assert reduced.means["p0^2"][-1] == pytest.approx(p0_squared, abs=1e-14)
+    projectors = np.einsum("bi,bj->ij", finals, finals.conj()) / 601
+    assert np.max(np.abs(plain.rho_hat[-1] - projectors)) < 1e-13
+    with pytest.raises(ValueError, match="reserved"):
+        simulate_ensemble(DEPHASING, PLUS, cfg, 10,
+                          reducers={"_projectors": P0_SQUARED["p0^2"]})
 
 
 def test_blowup_raises_with_trajectory_index():
@@ -313,10 +318,6 @@ def test_block_drawn_increments_equal_one_draw(steps, noise_count):
         lazy[:, 0:kernels.STEP_BLOCK]
 
 
-ENSEMBLE_ARRAYS = ("times", "rho_hat", "std_error", "norm_drift",
-                   "norm_drift_mean", "final_states", "states")
-
-
 @pytest.mark.parametrize("n", [601, 2100])
 def test_batched_ensemble_is_thread_count_invariant(n):
     # Chunks of 128 make 5 and 17 chunks: threads=2 runs batches of 3 + 2
@@ -327,11 +328,10 @@ def test_batched_ensemble_is_thread_count_invariant(n):
     psi0 = verify.random_state(np.random.default_rng(5), 4)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=31, record_stride=3)
     runs = [simulate_ensemble(u, psi0, cfg, n, threads=threads,
-                              keep_states=True, chunk_size=128)
+                              reducers=P0_SQUARED, chunk_size=128)
             for threads in (1, 2, 4)]
     for run in runs[1:]:
-        for field in ENSEMBLE_ARRAYS:
-            assert np.array_equal(getattr(runs[0], field), getattr(run, field))
+        assert ensemble_bytes(run) == ensemble_bytes(runs[0])
 
 
 def test_a_one_trajectory_batch_is_thread_count_invariant():
@@ -340,14 +340,12 @@ def test_a_one_trajectory_batch_is_thread_count_invariant():
     cfg = IntegrationConfig(dt=1e-2, t_final=0.3, seed=5, record_stride=10)
     psi0 = verify.random_state(np.random.default_rng(6), 2)
     runs = [simulate_ensemble(DEPHASING, psi0, cfg, 257, threads=threads,
-                              chunk_size=128, keep_states=True)
+                              chunk_size=128, reducers=P0_SQUARED)
             for threads in (1, 3)]
-    for name in ENSEMBLE_ARRAYS:
-        assert (getattr(runs[0], name).tobytes()
-                == getattr(runs[1], name).tobytes()), name
+    assert ensemble_bytes(runs[1]) == ensemble_bytes(runs[0])
     # and a lone trajectory takes the bits of its row in the ensemble
     lone = simulate_trajectory(DEPHASING, psi0, cfg, trajectory_index=256)
-    assert lone.states[1:].tobytes() == runs[0].states[256].tobytes()
+    assert lone.states[-1].tobytes() == runs[0].final_states[256].tobytes()
 
 
 def test_given_increments_are_thread_count_invariant():
@@ -359,12 +357,11 @@ def test_given_increments_are_thread_count_invariant():
     dW = rng.normal(0.0, np.sqrt(cfg.dt), size=(n, cfg.n_steps, 1))
     chunks = [dW[lo:lo + chunk] for lo in range(0, n, chunk)]
     runs = [simulate_ensemble(DEPHASING, PLUS, cfg, n, threads=threads,
-                              keep_states=True, chunk_size=chunk,
+                              reducers=P0_SQUARED, chunk_size=chunk,
                               dW_chunks=chunks)
             for threads in (1, 2, 4)]
     for run in runs[1:]:
-        for field in ENSEMBLE_ARRAYS:
-            assert np.array_equal(getattr(runs[0], field), getattr(run, field))
+        assert ensemble_bytes(run) == ensemble_bytes(runs[0])
 
 
 def test_ensemble_memory_does_not_grow_with_steps():

@@ -361,6 +361,14 @@ def test_run_suite_rejects_bad_entry_fields(entry, message):
         run_suite({"checks": [entry]})
 
 
+@pytest.mark.parametrize("suite", [
+    [1], {"checks": 5}, {"checks": [suite_entry("generator-identity"), 5]}])
+def test_run_suite_rejects_malformed_suites(suite):
+    with pytest.raises(ScenarioError, match="^suite: must be an object whose "
+                       "'checks' is a list of objects$"):
+        run_suite(suite)
+
+
 def test_run_suite_entry_fields_are_read_as_given():
     # integral values of any JSON number type give the same check and hash
     plain = run_suite({"checks": [
