@@ -170,23 +170,34 @@ def test_ensemble_mean_is_a_density_matrix():
     assert np.all(est.std_error <= 1.0 / np.sqrt(500))
 
 
+# a reducer that keeps the projector |psi><psi| of each state at every record
+PROJECTORS = {"P": lambda psi: np.einsum("bi,bj->ij", psi, psi.conj())}
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_reducers_leave_rho_hat_unchanged(threads):
+def test_rho_hat_is_the_mean_projector_of_the_kept_states(threads):
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=21, record_stride=4)
-    plain = simulate_ensemble(DEPHASING, PLUS, cfg, 601, threads=threads,
-                              chunk_size=128)
-    reduced = simulate_ensemble(DEPHASING, PLUS, cfg, 601, threads=threads,
-                                chunk_size=128, reducers=P0_SQUARED)
-    assert plain.means == {}
-    assert reduced.rho_hat.tobytes() == plain.rho_hat.tobytes()
-    assert reduced.final_states.tobytes() == plain.final_states.tobytes()
+    est = simulate_ensemble(DEPHASING, PLUS, cfg, 601, threads=threads,
+                            chunk_size=128, reducers=PROJECTORS)
+    assert est.means["P"].shape == est.rho_hat.shape
+    assert np.max(np.abs(est.rho_hat - est.means["P"])) < 1e-13
+    finals = est.final_states
+    ref = np.einsum("bi,bj->ij", finals, finals.conj()) / 601
+    assert np.max(np.abs(est.rho_hat[-1] - ref)) < 1e-13
+
+
+def test_keeping_states_does_not_change_rho_hat():
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=22, record_stride=4)
+    dropped = simulate_ensemble(DEPHASING, PLUS, cfg, 601, chunk_size=128)
+    kept = simulate_ensemble(DEPHASING, PLUS, cfg, 601, chunk_size=128,
+                             reducers=P0_SQUARED)
+    assert dropped.means == {}
+    assert kept.rho_hat.tobytes() == dropped.rho_hat.tobytes()
+    assert kept.final_states.tobytes() == dropped.final_states.tobytes()
     # at the last record each mean is a plain average over the final states
-    finals = plain.final_states
-    p0_squared = np.mean(np.abs(finals[:, 0]) ** 4)
-    assert reduced.means["p0^2"].shape == plain.times.shape
-    assert reduced.means["p0^2"][-1] == pytest.approx(p0_squared, abs=1e-14)
-    projectors = np.einsum("bi,bj->ij", finals, finals.conj()) / 601
-    assert np.max(np.abs(plain.rho_hat[-1] - projectors)) < 1e-13
+    p0_squared = np.mean(np.abs(dropped.final_states[:, 0]) ** 4)
+    assert kept.means["p0^2"].shape == dropped.times.shape
+    assert kept.means["p0^2"][-1] == pytest.approx(p0_squared, abs=1e-14)
     with pytest.raises(ValueError, match="reserved"):
         simulate_ensemble(DEPHASING, PLUS, cfg, 10,
                           reducers={"_projectors": P0_SQUARED["p0^2"]})
