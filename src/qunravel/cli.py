@@ -13,8 +13,9 @@ from collections import deque
 
 import numpy as np
 
-from . import lindblad, observables, sde, verify
+from . import hilbert, lindblad, observables, sde, verify
 from .scenario import Scenario, ScenarioError, complex_to_pairs, parse_scenario
+from .tolerances import TOL
 from .unraveling import Unraveling
 
 _FMT = "%.17g"   # lossless double round-trip
@@ -182,7 +183,7 @@ def cmd_diagonalize(args):
     payload = {
         "config_hash": _scenario_hash(scenario, 0),
         "rates": rates,
-        "completely_positive": bool(min(rates) >= -1e-10),
+        "completely_positive": bool(min(rates) >= TOL.psd_floor),
         "lindblad_ops": [complex_to_pairs(L) for L in ops],
     }
     _write_json(os.path.join(args.out, "diagonal.json"), payload)
@@ -204,7 +205,7 @@ def cmd_choi(args):
         "config_hash": _scenario_hash(scenario, 0),
         "t": args.time,
         "min_eigenvalue": min_eig,
-        "completely_positive": bool(min_eig >= -1e-10),
+        "completely_positive": bool(min_eig >= TOL.psd_floor),
         "choi": choi,
     }
     _write_json(os.path.join(args.out, "choi.json"), payload)
@@ -219,6 +220,10 @@ def cmd_variance_scan(args):
     if model.n_ops != 1:
         raise ScenarioError("variance-scan requires exactly one Lindblad op")
     L = model.lindblad_ops[0]
+    if not hilbert.is_hermitian(L):
+        raise ScenarioError(
+            f"lindblad_ops[0]: variance-scan needs a Hermitian operator, max "
+            f"violation {hilbert.hermiticity_defect(L):.3e}")
     phases = scenario.variance_phases or [0.0, np.pi / 4, np.pi / 2]
     cfg = scenario.integration
     chash = _scenario_hash(scenario, cfg.seed)
@@ -228,7 +233,7 @@ def cmd_variance_scan(args):
         est = sde.simulate_ensemble(
             u, scenario.psi0, cfg, scenario.trajectories,
             threads=args.threads,
-            reducers={"V": lambda psi: observables.variance(psi, L).sum()})
+            reducers={"V": lambda psi: observables._variance(psi, L).sum()})
         curves.append(est.means["V"])
     os.makedirs(args.out, exist_ok=True)
     columns = ["time"] + [f"mean_V_f={f:g}" for f in phases]

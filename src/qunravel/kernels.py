@@ -30,13 +30,12 @@ trajectory keeps its last state.
 
 Inside the kernel the states are component-major, a (d, batch) array, so
 that every elementwise operation runs over the batch rather than over d = 2
-to 4 components.  Three rules keep each trajectory's bits those of the
-row-major (batch, d) formulation, and independent of the batch width (and
-so of the thread count): the products K psi and L_k psi are the same
-(batch, d) @ (d, d) BLAS call, transposed afterwards (:func:`_apply`); sums
-over d follow numpy's own order (:func:`_col_sum`); and while every
-trajectory is alive the step skips the blow-up masks, which change nothing
-then.
+to 4 components.  Each trajectory's bits do not depend on the batch width,
+and so not on the thread count: the products K psi and L_k psi are the same
+(batch, d) @ (d, d) BLAS call, transposed afterwards (:func:`_apply`); a sum
+over d is a column sum, which adds each column in one fixed order whatever
+the width; and while every trajectory is alive the step skips the blow-up
+masks, which change nothing then.
 """
 
 import numpy as np
@@ -54,37 +53,6 @@ STEP_BLOCK = 128
 def active_backend():
     """Name of the stepping backend; numpy is the only one."""
     return "numpy"
-
-
-def _col_sum(x):
-    """Sum over the first axis of a (n, b) array, equal bit for bit to
-    ``np.sum`` over the rows of its (b, n) row-major copy.
-
-    numpy adds a row of fewer than 8 scalars (real and imaginary parts count
-    separately) one element after another onto +0.0, and a row of up to 128
-    scalars in 8 interleaved accumulators that it then adds pairwise; slices
-    over the batch reproduce both orders.  Longer rows are copied and summed
-    by numpy itself.
-    """
-    n = x.shape[0]
-    per = 4 if np.iscomplexobj(x) else 8      # elements in 8 scalars
-    if n < per:
-        total = 0.0 + x[0]
-        for i in range(1, n):
-            total += x[i]
-        return total
-    if n > 16 * per:
-        return np.sum(np.ascontiguousarray(x.T), axis=1)
-    acc = x[:per].copy()
-    full = n - n % per
-    for i in range(per, full, per):
-        acc += x[i:i + per]
-    while len(acc) > 1:
-        acc = acc[0::2] + acc[1::2]
-    total = acc[0]
-    for i in range(full, n):
-        total += x[i]
-    return 0.0 + total
 
 
 def _apply(M, psi):
@@ -117,10 +85,10 @@ def drift_diffusion(psi, K, rotated, fault=None):
     A = _apply(K, psi)
     B = _apply(rotated, psi)                    # L_k psi, (N, d, b)
     if fault is not None:
-        n2 = _col_sum(np.abs(psi) ** 2)
+        n2 = (np.abs(psi) ** 2).sum(axis=0)
     for k in range(B.shape[0]):
         Lpsi = B[k]
-        lk = _col_sum(np.conj(psi) * Lpsi).real
+        lk = (np.conj(psi) * Lpsi).sum(axis=0).real
         if fault is not None:
             lk = lk / n2
         A += lk * Lpsi
@@ -196,7 +164,7 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
             for k in range(N):
                 B[k] *= increments[k]
                 new += B[k]
-            n2 = _col_sum(np.abs(new) ** 2)
+            n2 = (np.abs(new) ** 2).sum(axis=0)
             dev = np.abs(n2 - 1.0)
             if all_alive and (n2 >= _BLOWUP2).all():
                 # nothing has blown up (a NaN norm fails the test above)

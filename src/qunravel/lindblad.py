@@ -126,10 +126,9 @@ class GKSForm:
         return self.hamiltonian.shape[0]
 
 
-def _dissipator(L, rho, Ldag_L=None):
+def _dissipator(L, rho):
     Ldag = hilbert.dagger(L)
-    if Ldag_L is None:
-        Ldag_L = Ldag @ L
+    Ldag_L = Ldag @ L
     return L @ rho @ Ldag - 0.5 * (Ldag_L @ rho + rho @ Ldag_L)
 
 

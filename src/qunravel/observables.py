@@ -24,11 +24,17 @@ def variance(psi, L):
     elif psi.shape[-1] != L.shape[0]:
         raise ValueError(f"states have dim {psi.shape[-1]}, "
                          f"expected {L.shape[0]}")
+    v = _variance(psi, L)
+    return float(v) if v.ndim == 0 else v
+
+
+def _variance(psi, L):
+    """:func:`variance` of a (..., d) complex batch for a (d, d) complex L
+    already checked to be Hermitian, as an array of shape (...)."""
     Lpsi = psi @ L.T
     mean = np.sum(np.conj(psi) * Lpsi, axis=-1).real
     second = np.sum(np.abs(Lpsi) ** 2, axis=-1)
-    v = second - mean * mean
-    return float(v) if v.ndim == 0 else v
+    return second - mean * mean
 
 
 def variance_drift(psi, L, f):

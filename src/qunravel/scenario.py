@@ -13,6 +13,7 @@ import numpy as np
 from . import hilbert
 from .lindblad import GKSForm, LindbladModel
 from .sde import IntegrationConfig
+from .tolerances import TOL
 from .unraveling import Unraveling, parse_freedom
 
 
@@ -145,7 +146,7 @@ def scenario_from_dict(data):
     if H.shape != (dim, dim):
         raise ScenarioError(f"hamiltonian: shape {H.shape}, expected ({dim}, {dim})")
     defect = hilbert.hermiticity_defect(H)
-    if defect > 1e-12:
+    if defect > TOL.hermitian:
         raise ScenarioError(f"hamiltonian: not Hermitian, max violation {defect:.3e}")
     ops = []
     for i, raw in enumerate(data.get("lindblad_ops", [])):
@@ -167,7 +168,7 @@ def scenario_from_dict(data):
         if psi0.shape != (dim,):
             raise ScenarioError(f"psi0: shape {psi0.shape}, expected ({dim},)")
         dev = abs(hilbert.norm2(psi0) - 1.0)
-        if dev > 1e-9:
+        if dev > TOL.unit_norm:
             raise ScenarioError(f"psi0: not normalized, |norm^2 - 1| = {dev:.3e}")
 
     integration = None

@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import hilbert, lindblad, sde
-from .lindblad import GKSForm, LindbladModel
 from .scenario import (ScenarioError, _integer, _number, _numbers, _require,
                        complex_to_pairs, scenario_from_dict)
-from .unraveling import Unraveling, UnitaryFreedom, generator_term
+from .tolerances import TOL
+from .unraveling import Unraveling, generator_term
 
 
 @dataclass
@@ -98,44 +98,11 @@ def statistical_tolerance(n_trajectories, dt, dim):
 
 
 # ---------------------------------------------------------------------------
-# random inputs for the deterministic identity checks
+# random states for the generator identity check
 
 def random_state(rng, d):
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     return hilbert.normalize(psi)
-
-
-def random_hermitian(rng, d, scale=1.0):
-    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * 0.5 * (M + hilbert.dagger(M))
-
-
-def random_unitary(rng, n):
-    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(M)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def random_model(rng, d, n_ops=None):
-    if n_ops is None:
-        n_ops = int(rng.integers(1, 3))
-    while True:
-        H = random_hermitian(rng, d)
-        ops = tuple(
-            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            for _ in range(n_ops))
-        if hilbert.check_linear_independence(ops, include_identity=True):
-            return LindbladModel(H, ops)
-
-
-def random_freedom(rng, n_ops):
-    kind = int(rng.integers(0, 3))
-    if kind == 0:
-        return UnitaryFreedom(matrix=np.eye(n_ops, dtype=complex))
-    if kind == 1 and n_ops == 1:
-        return UnitaryFreedom(phase=float(rng.uniform(0, 2 * np.pi)))
-    N = n_ops + int(rng.integers(0, 3))
-    return UnitaryFreedom(matrix=random_unitary(rng, N))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +118,7 @@ def generator_deviation(u, psi):
 
 
 def check_generator_identity(model, freedom, samples=100, seed=0, fault=None,
-                             tolerance=1e-10):
+                             tolerance=TOL.generator_match):
     """Non-statistical check of the generator identity at random unit states."""
     t0 = time.perf_counter()
     u = Unraveling(model, freedom, fault=fault)
@@ -186,7 +153,7 @@ def check_complete_positivity(gks, times, tolerance=1e-10):
     for t in times:
         choi = lindblad.gks_choi_matrix(gks, t)
         eigs[t] = float(np.linalg.eigvalsh(choi)[0])
-    if min_rate >= -1e-10:
+    if min_rate >= TOL.psd_floor:
         passed = all(v >= -tolerance for v in eigs.values())
     else:
         passed = eigs[min(times)] < -1e-6
@@ -195,7 +162,7 @@ def check_complete_positivity(gks, times, tolerance=1e-10):
         passed=passed,
         measured={"rates": rates, "min_rate": min_rate,
                   "choi_min_eig": {f"{t:g}": v for t, v in eigs.items()},
-                  "cp_expected": bool(min_rate >= -1e-10)},
+                  "cp_expected": bool(min_rate >= TOL.psd_floor)},
         tolerance=tolerance,
         seconds=time.perf_counter() - t0,
         config_hash=config_hash({

@@ -18,6 +18,9 @@ from qunravel.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, outer, trace_distance
 from qunravel.lindblad import GKSForm, LindbladModel
 from qunravel.unraveling import UnitaryFreedom, Unraveling
 
+from randomized import (random_freedom, random_hermitian, random_model,
+                        random_unitary)
+
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 PSI_37 = np.array([np.sqrt(0.3), np.sqrt(0.7)])
@@ -39,8 +42,8 @@ def test_criterion_01_generator_identity():
     worst = 0.0
     for _ in range(1000):
         d = int(rng.integers(2, 5))
-        model = verify.random_model(rng, d)
-        freedom = verify.random_freedom(rng, model.n_ops)
+        model = random_model(rng, d)
+        freedom = random_freedom(rng, model.n_ops)
         u = Unraveling(model, freedom)
         psi = verify.random_state(rng, d)
         worst = max(worst, verify.generator_deviation(u, psi))
@@ -192,7 +195,7 @@ def test_criterion_07_gks_round_trip():
         d = int(rng.integers(2, 4))
         n = d * d - 1
         C = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        H = verify.random_hermitian(rng, d)
+        H = random_hermitian(rng, d)
         H = H - np.trace(H) * np.eye(d) / d
         g = GKSForm(H, 0.5 * (C + np.conj(C).T))
         rates, ops = lindblad.gks_to_lindblad(g)
@@ -212,8 +215,8 @@ def test_criterion_08_diffusion_matrix_invariance():
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 5))
-        model = verify.random_model(rng, d)
-        base = verify.random_unitary(rng, model.n_ops)
+        model = random_model(rng, d)
+        base = random_unitary(rng, model.n_ops)
         o, _ = np.linalg.qr(rng.normal(size=(model.n_ops, model.n_ops)))
         u1 = Unraveling(model, UnitaryFreedom(matrix=base))
         u2 = Unraveling(model, UnitaryFreedom(matrix=o @ base))

@@ -9,7 +9,8 @@ import pytest
 from qunravel import cli, lindblad
 from qunravel.hilbert import SIGMA_Z
 from qunravel.scenario import complex_to_pairs, pairs_to_complex, parse_scenario
-from qunravel.verify import random_model
+
+from randomized import random_model
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -405,6 +406,25 @@ def test_variance_scan_command(tmp_path, threads):
     assert cli.main(["variance-scan", "--scenario", scn, "--out", str(serial),
                      "--threads", "1"]) == 0
     assert (serial / "variance_scan.csv").read_bytes() == text
+
+
+def test_variance_scan_rejects_a_non_hermitian_operator(tmp_path, capsys,
+                                                        monkeypatch):
+    # sigma_minus is a valid Lindblad operator, but V = <L^2> - <L>^2 needs
+    # a Hermitian one: an input error, found before any trajectory runs
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a scan it should have rejected")
+
+    monkeypatch.setattr(cli.sde, "simulate_ensemble", no_simulation)
+    sigma_minus = np.array([[0, 1], [0, 0]], dtype=complex)
+    scn = write(tmp_path, small_scenario(
+        lindblad_ops=[complex_to_pairs(sigma_minus)]))
+    out = tmp_path / "out"
+    assert cli.main(["variance-scan", "--scenario", scn, "--out", str(out),
+                     "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "lindblad_ops[0]" in err and "Hermitian" in err
+    assert not out.exists()
 
 
 def test_variance_scan_memory_does_not_grow_with_the_ensemble(tmp_path):

@@ -10,6 +10,8 @@ from qunravel.kernels import simulate_chunk
 from qunravel.lindblad import LindbladModel
 from qunravel.unraveling import Unraveling
 
+from randomized import random_hermitian
+
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
@@ -91,29 +93,12 @@ def test_step_blocks_and_record_hook_do_not_change_states(monkeypatch):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_col_sum_equals_numpy_sum_bit_for_bit(dtype):
-    # rows of fewer than 8, of 8 to 128 and of more than 128 scalars
-    rng = np.random.default_rng(3)
-    for d in list(range(1, 65)) + [100, 129]:
-        for batch in (1, 7, 300):
-            scale = 10.0 ** rng.integers(-12, 12, (batch, d))
-            x = rng.normal(size=(batch, d)) * scale
-            if dtype is complex:
-                x = x + 1j * rng.normal(size=(batch, d)) * scale[:, ::-1]
-                x.imag[rng.random((batch, d)) < 0.3] = -0.0
-            x.real[rng.random((batch, d)) < 0.3] = -0.0
-            expected = np.sum(x, axis=1)
-            got = kernels._col_sum(np.ascontiguousarray(x.T))
-            assert got.tobytes() == expected.tobytes(), (d, batch)
-
-
 def random_inputs(d, n_ops, batch, steps, dt=1e-2, seed=0):
     """Kernel inputs of a random model, built directly so that d = 1 works."""
     rng = np.random.default_rng(seed)
     rotated = 0.5 * (rng.normal(size=(n_ops, d, d))
                      + 1j * rng.normal(size=(n_ops, d, d)))
-    K = (-1j * verify.random_hermitian(rng, d)
+    K = (-1j * random_hermitian(rng, d)
          - 0.5 * np.einsum("kji,kjl->il", rotated.conj(), rotated))
     dW = rng.normal(0.0, np.sqrt(dt), size=(batch, steps, n_ops))
     return verify.random_state(rng, d), K, rotated, dt, dW
@@ -125,7 +110,7 @@ def random_inputs(d, n_ops, batch, steps, dt=1e-2, seed=0):
 def test_leading_rows_do_not_depend_on_the_batch_width(fault, renormalize):
     # the same trajectories in a narrow and a wide call must take the same
     # bits; a product whose BLAS blocking follows the batch would not
-    for d in range(1, 10):
+    for d in list(range(1, 10)) + [16, 32, 64]:
         for n_ops in (1, 2, 3):
             psi0, K, rotated, dt, dW = random_inputs(d, n_ops, 300, 12,
                                                      seed=d)
@@ -148,7 +133,7 @@ def test_a_blowup_mid_block_leaves_the_other_rows_unchanged(renormalize):
     # where nothing blows up.
     rng = np.random.default_rng(4)
     d, dt = 4, 1e-2
-    K = -0.5 * np.eye(d) - 1e-5j * verify.random_hermitian(rng, d)
+    K = -0.5 * np.eye(d) - 1e-5j * random_hermitian(rng, d)
     rotated = np.eye(d, dtype=complex)[None]
     psi0 = verify.random_state(rng, d)
     dW = rng.normal(0.0, np.sqrt(dt), size=(9, 200, 1))

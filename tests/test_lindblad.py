@@ -18,7 +18,8 @@ from qunravel.lindblad import (GKSForm, LindbladModel, choi_matrix,
                                gell_mann_basis, gks_choi_matrix, gks_liouvillian,
                                gks_to_lindblad, lindblad_rhs,
                                liouvillian, propagate_exact, unvec, vec)
-from qunravel.verify import random_hermitian, random_model
+
+from randomized import random_hermitian, random_model, random_unitary
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -409,12 +410,6 @@ def hermitian_basis(d):
         B[i, i] = 1.0
         mats.append(B)
     return mats, np.stack([vec(B) for B in mats], axis=1)
-
-
-def random_unitary(rng, n):
-    Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(Z)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def gks_cases(rng, d):

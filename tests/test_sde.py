@@ -18,6 +18,8 @@ from qunravel.sde import (IntegrationConfig, NormBlowupError, simulate_ensemble,
                           simulate_trajectory, trajectory_rng)
 from qunravel.unraveling import Unraveling
 
+from randomized import random_model
+
 DEPHASING = Unraveling(LindbladModel(np.zeros((2, 2)), (SIGMA_Z,)), "standard")
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
@@ -334,7 +336,7 @@ def test_batched_ensemble_is_thread_count_invariant(n):
     # Chunks of 128 make 5 and 17 chunks: threads=2 runs batches of 3 + 2
     # and 9 + 8 chunks, threads=4 batches of 2 + 2 + 1 and 5 + 5 + 5 + 2,
     # each batch in a worker process of its own.
-    model = verify.random_model(np.random.default_rng(4), 4, n_ops=2)
+    model = random_model(np.random.default_rng(4), 4, n_ops=2)
     u = Unraveling(model, "standard")
     psi0 = verify.random_state(np.random.default_rng(5), 4)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=31, record_stride=3)

@@ -18,10 +18,11 @@ from qunravel.unraveling import Unraveling
 from qunravel.verify import (check_complete_positivity, check_ensemble_vs_exact,
                              check_generator_identity,
                              check_unraveling_equivalence, config_hash,
-                             generator_deviation, random_freedom,
-                             random_hermitian, random_model,
-                             random_state, random_unitary, run_suite,
+                             generator_deviation, random_state, run_suite,
                              statistical_tolerance, suite_ok)
+
+from randomized import (random_freedom, random_hermitian, random_model,
+                        random_unitary)
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
