@@ -1,7 +1,8 @@
 """Batch front-end: parse scenario files, run simulations or verification
 suites, and emit CSV/JSON artifacts for external plotting.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 ok, 1 verification failure, 2 usage or parse error or a norm
+blow-up (then no output is written).
 """
 
 import argparse
@@ -294,7 +295,8 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ScenarioError, sde.NormBlowupError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -25,8 +25,10 @@ optionally renormalizing after each step.  dW is read one block of
 array or an object that draws each block on demand.  Outputs per trajectory:
 the states at the requested record steps (or, with ``on_record``, one call
 per record step instead), the max and mean pre-renormalization deviation
-|  ||psi'||^2 - 1 |, and a status flag (0 ok, 1 norm blow-up).  A blown-up
-trajectory keeps its last state.
+|  ||psi'||^2 - 1 |, and a status flag: 1 when the pre-renormalization norm
+fell below the blow-up floor, was NaN or was infinite at any step, else 0.
+A flagged trajectory is not frozen: it runs on, and its states and drifts
+are meaningless; the library's callers raise on any flag.
 
 Inside the kernel the states are component-major, a (d, batch) array, so
 that every elementwise operation runs over the batch rather than over d = 2
@@ -34,8 +36,8 @@ to 4 components.  Each trajectory's bits do not depend on the batch width,
 and so not on the thread count: the products K psi and L_k psi are the same
 (batch, d) @ (d, d) BLAS call, transposed afterwards (:func:`_apply`); a sum
 over d is a column sum, which adds each column in one fixed order whatever
-the width; and while every trajectory is alive the step skips the blow-up
-masks, which change nothing then.
+the width.  Every row takes the same step, blown up or not, so a blow-up
+changes no other row's bits.
 """
 
 import numpy as np
@@ -123,7 +125,7 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
     states : (batch, R, d) complex, or None when on_record is given
     drift_max : (batch,) float, max per-step |  ||psi'||^2 - 1 |
     drift_mean : (batch,) float, mean per-step |  ||psi'||^2 - 1 |
-    status : (batch,) uint8
+    status : (batch,) uint8, 1 where a norm blew up (see module docstring)
     """
     psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
     K = np.ascontiguousarray(K, dtype=np.complex128)
@@ -143,48 +145,43 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
     width = max(batch, 2)
     drift_max = np.zeros(width)
     drift_sum = np.zeros(width)
-    status = np.zeros(width, dtype=np.uint8)
-    alive = np.ones(width, dtype=bool)
-    all_alive = True
+    # every norm at or above the floor so far; False once NaN or below it
+    above = np.ones(width, dtype=bool)
 
     # component-major: psi[i] holds component i of every trajectory
     psi = np.empty((d, width), dtype=np.complex128)
     psi[:] = psi0[:, None]
     rec = 0
-    for s0 in range(0, steps, STEP_BLOCK):
-        block = np.asarray(dW[:, s0:s0 + STEP_BLOCK], dtype=np.float64)
-        # (s, N, width), transposed a cache-sized tile of rows at a time
-        incs = np.zeros(block.shape[1:] + (width,))
-        for i in range(0, batch, 64):
-            incs[..., i:i + 64] = block[i:i + 64].transpose(1, 2, 0)
-        for j, increments in enumerate(incs):
-            new, B = drift_diffusion(psi, K, rotated, fault)
-            new *= dt
-            new += psi
-            for k in range(N):
-                B[k] *= increments[k]
-                new += B[k]
-            n2 = (np.abs(new) ** 2).sum(axis=0)
-            dev = np.abs(n2 - 1.0)
-            if all_alive and (n2 >= _BLOWUP2).all():
-                # nothing has blown up (a NaN norm fails the test above)
+    caller_errors = np.geterr()
+    # a row that divides 0 by 0 or overflows is flagged, and runs on
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s0 in range(0, steps, STEP_BLOCK):
+            block = np.asarray(dW[:, s0:s0 + STEP_BLOCK], dtype=np.float64)
+            # (s, N, width), transposed a cache-sized tile of rows at a time
+            incs = np.zeros(block.shape[1:] + (width,))
+            for i in range(0, batch, 64):
+                incs[..., i:i + 64] = block[i:i + 64].transpose(1, 2, 0)
+            for j, increments in enumerate(incs):
+                new, B = drift_diffusion(psi, K, rotated, fault)
+                new *= dt
+                new += psi
+                for k in range(N):
+                    B[k] *= increments[k]
+                    new += B[k]
+                n2 = (np.abs(new) ** 2).sum(axis=0)
+                above &= n2 >= _BLOWUP2
+                dev = np.abs(n2 - 1.0)
                 np.fmax(drift_max, dev, out=drift_max)
                 drift_sum += dev
                 if renormalize:
                     new /= np.sqrt(n2)
                 psi = new
-            else:
-                drift_max = np.where(alive & (dev > drift_max), dev, drift_max)
-                drift_sum = np.where(alive, drift_sum + dev, drift_sum)
-                blown = alive & (n2 < _BLOWUP2)
-                status[blown] = 1
-                alive &= ~blown
-                all_alive = bool(alive.all())
-                if renormalize:
-                    new = new / np.where(n2 > 0.0, np.sqrt(n2), 1.0)
-                psi = np.where(alive, new, psi)
-            if rec < R and s0 + j + 1 == record_steps[rec]:
-                on_record(rec, np.ascontiguousarray(psi[:, :batch].T))
-                rec += 1
+                if rec < R and s0 + j + 1 == record_steps[rec]:
+                    # the hook keeps the caller's floating-point warnings
+                    with np.errstate(**caller_errors):
+                        on_record(rec, np.ascontiguousarray(psi[:, :batch].T))
+                    rec += 1
+    # an infinite norm at any step left an infinite drift_max
+    status = ~(above & (drift_max < np.inf))
     return (states, drift_max[:batch], drift_sum[:batch] / steps,
-            status[:batch])
+            status[:batch].astype(np.uint8))

@@ -42,7 +42,8 @@ _BATCH_BYTES = 32 * 2 ** 20
 
 
 class NormBlowupError(RuntimeError):
-    """Raised when a pre-renormalization norm falls below the blow-up floor.
+    """Raised when a pre-renormalization norm falls below the blow-up floor
+    or is not finite (NaN or infinite) at any step.
 
     ``trajectory_indices`` lists every blown-up trajectory in ascending
     order; ``trajectory_index`` is the first of them.
@@ -54,8 +55,8 @@ class NormBlowupError(RuntimeError):
         self.trajectory_index = self.trajectory_indices[0]
         n = len(self.trajectory_indices)
         super().__init__(
-            f"state norm collapsed below {TOL.blowup_norm} in {n} "
-            f"trajector{'y' if n == 1 else 'ies'} (first: "
+            f"state norm collapsed below {TOL.blowup_norm} or became "
+            f"non-finite in {n} trajector{'y' if n == 1 else 'ies'} (first: "
             f"{self.trajectory_index}); the step size is too large")
 
 
@@ -171,15 +172,6 @@ class _Increments:
         block += 0.0
         self._next = stop
         return block
-
-
-def projector_sum(states):
-    """Sum of |psi><psi| over a batch, per record: (count, R, d) -> (R, d, d).
-
-    Plain einsum, which does not dispatch to BLAS, so the sum is a pure
-    function of the batch and the same on every thread.
-    """
-    return np.einsum("bri,brj->rij", states, states.conj())
 
 
 def _simulate(u, psi0, cfg, start, count, record_steps, dW=None,
@@ -335,7 +327,10 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     reducers = dict(reducers or {})
     if "_projectors" in reducers:
         raise ValueError("the reducer name '_projectors' is reserved")
-    reducers["_projectors"] = lambda psi: projector_sum(psi[:, None, :])[0]
+    # plain einsum, which does not dispatch to BLAS, so a chunk's projector
+    # sum is a pure function of its states and the same on every thread
+    reducers["_projectors"] = lambda psi: np.einsum("bi,bj->ij", psi,
+                                                    psi.conj())
     # one sum per reducer at psi0 fixes the shape and dtype of its sums
     reducers = {name: (reduce, np.asarray(reduce(psi0[None, :])))
                 for name, reduce in reducers.items()}

@@ -126,7 +126,6 @@ class Unraveling:
         N = freedom.noise_count
         padded = list(model.lindblad_ops)
         padded += [np.zeros((d, d), dtype=complex)] * (N - len(padded))
-        self.padded_ops = tuple(padded)
         u = freedom.as_matrix()
         self.rotated = np.array(
             [sum(u[k, j] * padded[j] for j in range(N)) for k in range(N)],

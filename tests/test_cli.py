@@ -427,6 +427,27 @@ def test_variance_scan_rejects_a_non_hermitian_operator(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "variance-scan", "verify"])
+def test_a_norm_blowup_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # H = diag(0, 1e308) overflows every state in the first dt = 4 step
+    data = small_scenario(
+        hamiltonian=complex_to_pairs(np.diag([0.0, 1e308])),
+        integration={"dt": 4.0, "t_final": 12.0, "seed": 3},
+        trajectories=8)
+    if command == "verify":
+        data = {"checks": [dict(data, check="ensemble-vs-exact",
+                                checkpoints=[12.0])]}
+    scn = write(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: state norm collapsed below")
+    assert "non-finite in 8 trajectories" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_variance_scan_memory_does_not_grow_with_the_ensemble(tmp_path):
     # 1024 trajectories recorded at 500 steps: keeping their (M, R, d)
     # states would take 16.4 MB; their per-chunk sums take 144 kB

@@ -216,6 +216,35 @@ def test_blowup_raises_with_trajectory_index():
     assert err.value.trajectory_index == 0
 
 
+def test_an_overflowing_norm_raises_naming_every_trajectory():
+    # H = diag(0, 1e308) overflows every state in the first dt = 4 step,
+    # so the norms go infinite, then NaN, and never fall below the floor
+    u = Unraveling(LindbladModel(np.diag([0.0, 1e308]), (SIGMA_Z,)),
+                   "standard")
+    cfg = IntegrationConfig(dt=4.0, t_final=12.0, seed=3)
+    with pytest.raises(NormBlowupError, match="non-finite in 8 trajectories"
+                       ) as err:
+        simulate_ensemble(u, PLUS, cfg, 8)
+    assert err.value.trajectory_indices == list(range(8))
+
+
+def test_a_reducer_keeps_its_floating_point_warnings():
+    # the kernel silences its own 0/0 and overflow warnings, not those of a
+    # reducer it calls at a record step
+    probed = []
+
+    def zero_by_zero(psi):
+        if not probed:                  # the probe call at psi0
+            probed.append(psi)
+            return np.float64(0.0)
+        return np.float64(0.0) / 0.0
+
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=1)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        simulate_ensemble(DEPHASING, PLUS, cfg, 4,
+                          reducers={"nan": zero_by_zero})
+
+
 def test_blowup_reports_every_trajectory_in_global_indices(monkeypatch,
                                                           tmp_path):
     # With zero noise a trajectory steps onto the zero vector, with dW = 1

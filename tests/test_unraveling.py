@@ -62,8 +62,9 @@ def test_unraveling_pads_with_zero_operators():
     u3 = UnitaryFreedom(matrix=np.eye(3, dtype=complex))
     u = Unraveling(DEPHASING, u3)
     assert u.noise_count == 3
-    assert np.allclose(u.padded_ops[1], 0.0)
-    assert np.allclose(u.padded_ops[2], 0.0)
+    # identity freedom: the rotated operators are L, 0, 0
+    assert np.allclose(u.rotated[0], SIGMA_Z)
+    assert np.allclose(u.rotated[1:], 0.0)
     # padding must not change the invariant sum L^dag L
     assert np.allclose(u.ldag_l_sum, np.eye(2))
     with pytest.raises(ValueError, match="noise count"):
