@@ -1,6 +1,10 @@
 """Batch front-end: parse scenario files, run simulations or verification
 suites, and emit CSV/JSON artifacts for external plotting.
 
+Every command takes --scenario and --out; simulate and variance-scan also
+take --seed and --threads, verify --threads, and choi --time.  A scenario
+turns renormalization off with "renormalize": false in its integration block.
+
 Exit codes: 0 ok, 1 verification failure, 2 usage or parse error or a norm
 blow-up (then no output is written).
 """
@@ -15,7 +19,7 @@ from collections import deque
 import numpy as np
 
 from . import hilbert, lindblad, observables, sde, verify
-from .scenario import Scenario, ScenarioError, complex_to_pairs, parse_scenario
+from .scenario import ScenarioError, complex_to_pairs, parse_scenario
 from .tolerances import TOL
 from .unraveling import Unraveling
 
@@ -113,25 +117,22 @@ def _scenario_hash(scenario, seed):
 
 
 def _load(args):
+    """The scenario of an ensemble command, with --seed applied."""
     scenario = parse_scenario(args.scenario)
+    if scenario.psi0 is None or scenario.integration is None:
+        raise ScenarioError(
+            f"{args.command} needs psi0 and an integration block")
     if args.seed is not None:
-        if scenario.integration is None:
-            raise ScenarioError("scenario has no integration block to seed")
         try:
             scenario.integration = dataclasses.replace(scenario.integration,
                                                        seed=args.seed)
         except ValueError as exc:
             raise ScenarioError(f"--seed: {exc}") from None
-    if args.no_renormalize and scenario.integration is not None:
-        scenario.integration = dataclasses.replace(scenario.integration,
-                                                   renormalize=False)
     return scenario
 
 
 def cmd_simulate(args):
     scenario = _load(args)
-    if scenario.psi0 is None or scenario.integration is None:
-        raise ScenarioError("simulate needs psi0 and an integration block")
     u = scenario.unraveling()
     cfg = scenario.integration
     est = sde.simulate_ensemble(u, scenario.psi0, cfg, scenario.trajectories,
@@ -139,17 +140,10 @@ def cmd_simulate(args):
     os.makedirs(args.out, exist_ok=True)
     chash = _scenario_hash(scenario, cfg.seed)
     d = u.dim
-    columns = ["time"]
-    for i in range(d):
-        for j in range(d):
-            columns += [f"rho_{i}{j}_re", f"rho_{i}{j}_im"]
-    rows = []
-    for t, rho in zip(est.times, est.rho_hat):
-        row = [t]
-        for i in range(d):
-            for j in range(d):
-                row += [rho[i, j].real, rho[i, j].imag]
-        rows.append(row)
+    columns = ["time"] + [f"rho_{i}{j}_{part}" for i in range(d)
+                          for j in range(d) for part in ("re", "im")]
+    rho = np.ascontiguousarray(est.rho_hat).reshape(len(est.times), -1)
+    rows = np.column_stack([est.times, rho.view(float)])
     _write_csv(os.path.join(args.out, "rho.csv"),
                [("config_hash", chash), ("seed", cfg.seed)], columns, rows)
     summary = {
@@ -176,7 +170,7 @@ def cmd_verify(args):
 
 
 def cmd_diagonalize(args):
-    scenario = _load(args)
+    scenario = parse_scenario(args.scenario)
     if scenario.gks is None:
         raise ScenarioError("diagonalize needs a gks block")
     rates, ops = lindblad.gks_to_lindblad(scenario.gks)
@@ -192,7 +186,7 @@ def cmd_diagonalize(args):
 
 
 def cmd_choi(args):
-    scenario = _load(args)
+    scenario = parse_scenario(args.scenario)
     if not 0 < args.time < np.inf:
         raise ScenarioError(f"--time must be positive and finite, "
                             f"got {args.time}")
@@ -215,8 +209,6 @@ def cmd_choi(args):
 
 def cmd_variance_scan(args):
     scenario = _load(args)
-    if scenario.psi0 is None or scenario.integration is None:
-        raise ScenarioError("variance-scan needs psi0 and an integration block")
     model = scenario.model()
     if model.n_ops != 1:
         raise ScenarioError("variance-scan requires exactly one Lindblad op")
@@ -251,40 +243,37 @@ def _threads(text):
     return n
 
 
+_SEED = ("--seed", dict(type=int, default=None,
+                        help="override the scenario seed"))
+_THREADS = ("--threads", dict(type=_threads, default=1, help="at most this "
+                              "many forked worker processes; 1 starts none"))
+
+# name: (function, help, the flags it takes besides --scenario and --out)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run a trajectory ensemble",
+                 [_SEED, _THREADS]),
+    "verify": (cmd_verify, "run a verification suite", [_THREADS]),
+    "diagonalize": (cmd_diagonalize, "diagonalize a GKS form", []),
+    "choi": (cmd_choi, "Choi matrix of the propagator",
+             [("--time", dict(type=float, default=1.0))]),
+    "variance-scan": (cmd_variance_scan,
+                      "mean collapse variance over a phase grid",
+                      [_SEED, _THREADS]),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qunravel",
         description="Diffusive unravelings of Lindblad master equations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario/suite JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-        p.add_argument("--threads", type=_threads, default=1,
-                       help="at most this many forked worker processes; "
-                            "1 starts none")
-        p.add_argument("--no-renormalize", action="store_true")
-
-    common(sub.add_parser("simulate", help="run a trajectory ensemble"))
-    common(sub.add_parser("verify", help="run a verification suite"))
-    common(sub.add_parser("diagonalize", help="diagonalize a GKS form"))
-    p_choi = sub.add_parser("choi", help="Choi matrix of the propagator")
-    common(p_choi)
-    p_choi.add_argument("--time", type=float, default=1.0)
-    common(sub.add_parser("variance-scan",
-                          help="mean collapse variance over a phase grid"))
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "diagonalize": cmd_diagonalize,
-    "choi": cmd_choi,
-    "variance-scan": cmd_variance_scan,
-}
 
 
 def main(argv=None):
@@ -294,9 +283,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
-    except (ScenarioError, sde.NormBlowupError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+        return _COMMANDS[args.command][0](args)
+    except (ScenarioError, sde.NormBlowupError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -208,11 +208,15 @@ def scenario_from_dict(data):
     return scenario
 
 
-def parse_scenario(path):
+def read_json(path, name):
+    """The JSON in the file at path; invalid JSON is a ScenarioError."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(
-                f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return scenario_from_dict(data)
+                f"{name}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+
+
+def parse_scenario(path):
+    return scenario_from_dict(read_json(path, path))

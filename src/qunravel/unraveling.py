@@ -47,7 +47,7 @@ class UnitaryFreedom:
             if u.ndim != 2 or u.shape[0] != u.shape[1]:
                 raise ValueError("u must be a square matrix")
             defect = np.max(np.abs(hilbert.dagger(u) @ u - np.eye(u.shape[0])))
-            if defect > TOL.unitary:
+            if not defect <= TOL.unitary:   # NaN fails too
                 raise ValueError(f"u not unitary: max defect {defect:.3e}")
             object.__setattr__(self, "matrix", u)
         else:
@@ -89,8 +89,12 @@ def parse_freedom(spec, n):
             raise ValueError("scalar phase requires exactly one Lindblad op")
         return UnitaryFreedom(phase=float(spec.split(":", 1)[1]))
     if spec.startswith("unitary:"):
-        rows = json.loads(spec.split(":", 1)[1])
-        u = np.array([[complex(re, im) for re, im in row] for row in rows])
+        try:
+            u = np.array([[complex(re, im) for re, im in row]
+                          for row in json.loads(spec.split(":", 1)[1])])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"unitary: must be JSON rows of [re, im] "
+                             f"pairs: {exc}") from None
         return UnitaryFreedom(matrix=u)
     raise ValueError(f"unknown freedom spec {spec!r}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hilbert, lindblad, sde
 from .scenario import (ScenarioError, _integer, _number, _numbers, _require,
-                       complex_to_pairs, scenario_from_dict)
+                       complex_to_pairs, read_json, scenario_from_dict)
 from .tolerances import TOL
 from .unraveling import Unraveling, generator_term
 
@@ -281,6 +281,15 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
 # ---------------------------------------------------------------------------
 # suite runner
 
+def _names(values, name, null=False):
+    """A list of strings; with null set, also null or a list with nulls."""
+    if null and values is None or isinstance(values, list) and all(
+            isinstance(v, str) or null and v is None for v in values):
+        return values
+    raise ScenarioError(f"{name}: must be a list of strings"
+                        f"{' or nulls' if null else ''}, got {values!r}")
+
+
 def _run_check(kind, entry, threads):
     if kind == "generator-identity":
         sc = scenario_from_dict(entry)
@@ -296,11 +305,12 @@ def _run_check(kind, entry, threads):
             sc.trajectories, sc.checkpoints, threads=threads)
     if kind == "unraveling-equivalence":
         sc = scenario_from_dict(entry)
-        freedoms = entry.get("freedoms", [sc.freedom_spec])
+        freedoms = _names(entry.get("freedoms", [sc.freedom_spec]), "freedoms")
         return check_unraveling_equivalence(
             sc.model(), freedoms, sc.psi0, sc.integration,
             sc.trajectories, _number(_require(entry, "t"), "t"),
-            faults=entry.get("faults"), threads=threads)
+            faults=_names(entry.get("faults"), "faults", null=True),
+            threads=threads)
     if kind == "complete-positivity":
         sc = scenario_from_dict(entry)
         if sc.gks is None:
@@ -321,13 +331,7 @@ def run_suite(config, threads=1):
     grid or not positive) raises ScenarioError naming the check.
     """
     if isinstance(config, (str, bytes)) or hasattr(config, "__fspath__"):
-        with open(config) as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(
-                    f"suite: invalid JSON at line {exc.lineno}: {exc.msg}"
-                ) from None
+        config = read_json(config, "suite")
     checks = config.get("checks", []) if isinstance(config, dict) else None
     if not (isinstance(checks, list)
             and all(isinstance(entry, dict) for entry in checks)):

@@ -106,6 +106,50 @@ def test_seed_override_changes_hash_and_data(tmp_path):
     assert (out1 / "rho.csv").read_bytes() != (out2 / "rho.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "variance-scan"])
+def test_seed_flag_writes_the_bytes_of_that_seed_in_the_file(tmp_path,
+                                                             command):
+    flagged, edited = tmp_path / "flagged", tmp_path / "edited"
+    data = small_scenario()
+    scn = write(tmp_path, data)
+    data["integration"]["seed"] = 99
+    scn99 = write(tmp_path, data, "seed99.json")
+    assert cli.main([command, "--scenario", scn, "--out", str(flagged),
+                     "--seed", "99"]) == 0
+    assert cli.main([command, "--scenario", scn99, "--out", str(edited)]) == 0
+    names = sorted(path.name for path in flagged.iterdir())
+    assert names == sorted(path.name for path in edited.iterdir())
+    for name in names:
+        assert (flagged / name).read_bytes() == (edited / name).read_bytes()
+
+
+# every flag a command takes is one it reads; each of these it does not
+@pytest.mark.parametrize("command, flag", [
+    ("diagonalize", "--seed"), ("diagonalize", "--threads"),
+    ("diagonalize", "--no-renormalize"), ("choi", "--seed"),
+    ("choi", "--threads"), ("choi", "--no-renormalize"), ("verify", "--seed"),
+    ("verify", "--no-renormalize"), ("simulate", "--no-renormalize"),
+    ("variance-scan", "--no-renormalize")])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command,
+                                                  flag):
+    data = dict(small_scenario(), gks=gks_block())
+    if command == "verify":
+        data = {"checks": [dict(data, check="generator-identity", samples=5)]}
+    scn = write(tmp_path, data)
+    # the scenario is one the command runs without the flag
+    assert cli.main([command, "--scenario", scn,
+                     "--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    value = [] if flag == "--no-renormalize" else ["2"]
+    assert cli.main([command, "--scenario", scn, "--out", str(out), flag,
+                     *value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert not out.exists()
+
+
 def test_verify_suite_pass_and_fail_exit_codes(tmp_path, capsys):
     H = complex_to_pairs(np.zeros((2, 2)))
     sz = complex_to_pairs(SIGMA_Z)
@@ -146,6 +190,13 @@ def test_verify_suite_pass_and_fail_exit_codes(tmp_path, capsys):
     ({"check": "complete-positivity", "gks": gks_block(), "lindblad_ops": [],
       "times": ["1"]},
      "check 'complete-positivity': times[0]: must be a number"),
+    ({"check": "unraveling-equivalence", "freedoms": ["standard", 1],
+      "t": 0.05},
+     "check 'unraveling-equivalence': freedoms: must be a list of strings"),
+    ({"check": "unraveling-equivalence", "freedoms": ["unitary:[[", "standard"],
+      "t": 0.05},
+     "check 'unraveling-equivalence': unitary: must be JSON rows of [re, im] "
+     "pairs"),
 ])
 def test_bad_suite_entry_exits_2(tmp_path, capsys, fields, message):
     scn = write(tmp_path, {"checks": [small_scenario(**fields)]}, "suite.json")
@@ -162,6 +213,16 @@ def test_malformed_suite_exits_2(tmp_path, capsys, suite):
     assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
     assert ("error: suite: must be an object whose 'checks' is a list of "
             "objects") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["unitary:[[1]]", "unitary:[["])
+def test_malformed_unitary_freedom_exits_2(tmp_path, capsys, spec):
+    scn = write(tmp_path, small_scenario(freedom=spec))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", scn, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: freedom: unitary: must be JSON rows of [re, im] pairs: ")
     assert not out.exists()
 
 

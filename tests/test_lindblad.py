@@ -193,8 +193,7 @@ step("import qunravel.cli")
 dephasing, gks, out = sys.argv[1:]
 for command, scenario in (("simulate", dephasing), ("diagonalize", gks),
                           ("choi", gks)):
-    code = cli.main([command, "--scenario", scenario, "--out", out,
-                     "--threads", "1"])
+    code = cli.main([command, "--scenario", scenario, "--out", out])
     step(command, code)
 print(json.dumps(steps))
 """
@@ -229,8 +228,7 @@ def test_only_the_oracle_loads_scipy(tmp_path):
     name, code, loaded = steps[-1]
     assert code == 0 and "scipy.linalg" in loaded
     assert "scipy" in sys.modules      # this process imported it up front
-    assert cli.main(["choi", "--scenario", str(gks), "--out", str(eager),
-                     "--threads", "1"]) == 0
+    assert cli.main(["choi", "--scenario", str(gks), "--out", str(eager)]) == 0
     assert ((lazy / "choi.json").read_bytes()
             == (eager / "choi.json").read_bytes())
 

@@ -58,6 +58,23 @@ def test_parse_freedom_presets():
         parse_freedom("bogus", 1)
 
 
+@pytest.mark.parametrize("spec", [
+    "unitary:[[", "unitary:5", "unitary:[[1]]", 'unitary:[[["1", 0]]]',
+    "unitary:[[[1, 0, 0]]]", "unitary:[[[1, 0]], []]", "unitary:[[[NaN, 0]]]"])
+def test_a_malformed_unitary_spec_is_a_plain_value_error(spec):
+    with pytest.raises(ValueError, match="unitary") as info:
+        parse_freedom(spec, 1)
+    assert type(info.value) is ValueError
+
+
+def test_a_unitary_spec_keeps_every_bit():
+    spec = 'unitary:[[[-0.0, 0.6], [0.8, -0.0]], [[0.8, 0.0], [-0.0, 0.6]]]'
+    u = np.array([[complex(-0.0, 0.6), complex(0.8, -0.0)],
+                  [complex(0.8, 0.0), complex(-0.0, 0.6)]])
+    assert np.array_equal(parse_freedom(spec, 2).matrix.view(np.uint64),
+                          u.view(np.uint64))
+
+
 def test_unraveling_pads_with_zero_operators():
     u3 = UnitaryFreedom(matrix=np.eye(3, dtype=complex))
     u = Unraveling(DEPHASING, u3)

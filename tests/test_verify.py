@@ -352,6 +352,19 @@ BAD_ENTRIES = [
     (suite_entry("ensemble-vs-exact", checkpoints=[0.1],
                  integration={"dt": 1e-2, "t_final": 0.1, "seed": [4]}),
      r"integration\.seed: must be a non-negative integer"),
+    (suite_entry("unraveling-equivalence", freedoms=["standard", 1]),
+     "freedoms: must be a list of strings, got"),
+    (suite_entry("unraveling-equivalence", freedoms="standard"),
+     "freedoms: must be a list of strings, got"),
+    (suite_entry("unraveling-equivalence", faults=5),
+     "faults: must be a list of strings or nulls, got 5"),
+    (suite_entry("unraveling-equivalence", faults=[None, 1]),
+     "faults: must be a list of strings or nulls"),
+    (suite_entry("unraveling-equivalence", freedoms=["unitary:[[", "standard"]),
+     r"unitary: must be JSON rows of \[re, im\] pairs"),
+    (suite_entry("unraveling-equivalence",
+                 freedoms=["unitary:[[1]]", "standard"]),
+     r"unitary: must be JSON rows of \[re, im\] pairs"),
 ]
 
 
