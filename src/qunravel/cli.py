@@ -117,8 +117,8 @@ def _scenario_hash(scenario, seed):
 
 
 def _load(args):
-    """The scenario of an ensemble command, with --seed applied."""
-    scenario = parse_scenario(args.scenario)
+    """An ensemble command's scenario, trajectories given, --seed applied."""
+    scenario = parse_scenario(args.scenario, required=("trajectories",))
     if scenario.psi0 is None or scenario.integration is None:
         raise ScenarioError(
             f"{args.command} needs psi0 and an integration block")

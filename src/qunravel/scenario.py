@@ -157,6 +157,8 @@ def scenario_from_dict(data):
         ops.append(L)
 
     freedom_spec = data.get("freedom", "standard")
+    if not isinstance(freedom_spec, str):
+        raise ScenarioError(f"freedom: must be a string, got {freedom_spec!r}")
     try:
         parse_freedom(freedom_spec, len(ops))
     except ValueError as exc:
@@ -209,14 +211,22 @@ def scenario_from_dict(data):
 
 
 def read_json(path, name):
-    """The JSON in the file at path; invalid JSON is a ScenarioError."""
-    with open(path) as fh:
+    """The JSON in the file at path; bad UTF-8 or JSON is a ScenarioError."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(
                 f"{name}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at "
+                                f"byte {exc.start}") from None
 
 
-def parse_scenario(path):
-    return scenario_from_dict(read_json(path, path))
+def parse_scenario(path, required=()):
+    """The scenario at path; each key in required must be in the file."""
+    data = read_json(path, path)
+    scenario = scenario_from_dict(data)
+    for key in required:
+        _require(data, key)
+    return scenario

@@ -298,19 +298,22 @@ def _run_check(kind, entry, threads):
             samples=_integer(entry.get("samples", 100), "samples"),
             seed=_integer(entry.get("seed", 0), "seed", minimum=0),
             fault=entry.get("fault"))
+    # one trajectory by default would give a tolerance no distance exceeds
     if kind == "ensemble-vs-exact":
         sc = scenario_from_dict(entry)
+        _require(entry, "trajectories")
         return check_ensemble_vs_exact(
             sc.model(), sc.freedom_spec, sc.psi0, sc.integration,
             sc.trajectories, sc.checkpoints, threads=threads)
     if kind == "unraveling-equivalence":
         sc = scenario_from_dict(entry)
         freedoms = _names(entry.get("freedoms", [sc.freedom_spec]), "freedoms")
+        t = _number(_require(entry, "t"), "t")
+        faults = _names(entry.get("faults"), "faults", null=True)
+        _require(entry, "trajectories")
         return check_unraveling_equivalence(
-            sc.model(), freedoms, sc.psi0, sc.integration,
-            sc.trajectories, _number(_require(entry, "t"), "t"),
-            faults=_names(entry.get("faults"), "faults", null=True),
-            threads=threads)
+            sc.model(), freedoms, sc.psi0, sc.integration, sc.trajectories,
+            t, faults=faults, threads=threads)
     if kind == "complete-positivity":
         sc = scenario_from_dict(entry)
         if sc.gks is None:
@@ -325,10 +328,11 @@ def run_suite(config, threads=1):
 
     config is a dict (or a path to a JSON file) with a "checks" list of
     objects, each scenario fields with "check" and optional "expect" ("pass"
-    by default, "fail" for fault-injection entries); any other shape raises
-    ScenarioError.  An entry the checks reject as input (an unknown fault, a
-    faults list that does not match the freedoms, a checkpoint off the step
-    grid or not positive) raises ScenarioError naming the check.
+    by default, "fail" for fault-injection entries); any other shape, or any
+    other expect, raises ScenarioError.  An entry the checks reject as input
+    (an unknown fault, a faults list that does not match the freedoms, a
+    checkpoint off the step grid or not positive, an ensemble check without
+    "trajectories") raises ScenarioError naming the check.
     """
     if isinstance(config, (str, bytes)) or hasattr(config, "__fspath__"):
         config = read_json(config, "suite")
@@ -340,6 +344,10 @@ def run_suite(config, threads=1):
     reports = []
     for entry in checks:
         kind = entry.get("check")
+        expect = entry.get("expect", "pass")
+        if expect not in ("pass", "fail"):
+            raise ScenarioError(f"check {kind!r}: expect: must be 'pass' or "
+                                f"'fail', got {expect!r}")
         try:
             report = _run_check(kind, entry, threads)
         except ValueError as exc:
@@ -348,7 +356,7 @@ def run_suite(config, threads=1):
             if type(exc) not in (ValueError, ScenarioError):
                 raise
             raise ScenarioError(f"check {kind!r}: {exc}") from None
-        report.expect = entry.get("expect", "pass")
+        report.expect = expect
         reports.append(report)
     return reports
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests running the entry point in-process."""
 
+import importlib.resources
 import json
 import tracemalloc
 
@@ -197,6 +198,12 @@ def test_verify_suite_pass_and_fail_exit_codes(tmp_path, capsys):
       "t": 0.05},
      "check 'unraveling-equivalence': unitary: must be JSON rows of [re, im] "
      "pairs"),
+    ({"check": "generator-identity", "fault": "drop_ell2", "expect": "pas"},
+     "check 'generator-identity': expect: must be 'pass' or 'fail', got "
+     "'pas'"),
+    ({"check": "ensemble-vs-exact", "checkpoints": [0.05],
+      "trajectories": None},
+     "check 'ensemble-vs-exact': trajectories: must be a positive integer"),
 ])
 def test_bad_suite_entry_exits_2(tmp_path, capsys, fields, message):
     scn = write(tmp_path, {"checks": [small_scenario(**fields)]}, "suite.json")
@@ -255,6 +262,7 @@ def test_bad_trajectory_count_exits_2(tmp_path, capsys, command, count):
     ("dim", 2.5, "dim: must be a positive integer"),
     ("checkpoints", [0.01, "later"], "checkpoints[1]: must be a number"),
     ("variance_phases", ["pi"], "variance_phases[0]: must be a number"),
+    ("freedom", 5, "freedom: must be a string, got 5"),
 ])
 def test_bad_scenario_field_exits_2(tmp_path, capsys, command, field, value,
                                     message):
@@ -537,3 +545,42 @@ def test_missing_blocks_are_reported(tmp_path):
     scn2 = write(tmp_path, data2, "nogks.json")
     assert cli.main(["diagonalize", "--scenario", scn2,
                      "--out", str(tmp_path / "o2")]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "variance-scan", "verify"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    scn = tmp_path / "scenario.json"
+    scn.write_bytes(bytes.fromhex("fffe7b7d"))
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", str(scn), "--out", str(out)]) == 2
+    assert f"error: {scn}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "variance-scan"])
+def test_an_ensemble_command_needs_the_trajectory_count(tmp_path, capsys,
+                                                        command):
+    data = small_scenario()
+    data["trajectoires"] = data.pop("trajectories")
+    scn = write(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert ("error: missing required field 'trajectories'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_misspelt_trajectory_count_cannot_pass_a_fault(tmp_path, capsys):
+    # the bundled drop_ell2 entry with its count misspelt would run one
+    # trajectory, whose tolerance 3 d + 5 dt no trace distance can exceed
+    ref = importlib.resources.files("qunravel") / "data" / "default_suite.json"
+    suite = json.loads(ref.read_text())
+    entry, = [e for e in suite["checks"] if e.get("faults")]
+    entry["trajectoires"] = entry.pop("trajectories")
+    entry["expect"] = "pass"
+    scn = write(tmp_path, {"checks": [entry]}, "suite.json")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
+    assert ("error: check 'unraveling-equivalence': missing required field "
+            "'trajectories'" in capsys.readouterr().err)
+    assert not out.exists()

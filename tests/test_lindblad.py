@@ -17,12 +17,21 @@ from qunravel.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from qunravel.lindblad import (GKSForm, LindbladModel, choi_matrix,
                                gell_mann_basis, gks_choi_matrix, gks_liouvillian,
                                gks_to_lindblad, lindblad_rhs,
-                               liouvillian, propagate_exact, unvec, vec)
+                               liouvillian, propagate_exact)
 
 from randomized import random_hermitian, random_model, random_unitary
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+
+def vec(rho):
+    """Column-major vectorization, the convention of liouvillian()."""
+    return np.asarray(rho, dtype=complex).ravel(order="F")
+
+
+def unvec(v, d):
+    return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
 
 def gks_rhs(g, rho):
@@ -178,59 +187,56 @@ def test_propagate_exact_rejects_2d_times():
         propagate_exact(DEPHASING, hilbert.outer(PLUS, PLUS), [[0.1, 0.2]])
 
 
-ONLY_THE_ORACLE_LOADS_SCIPY = """
+NO_SCIPY = """
 import json, sys
 
-def step(name, code=0):
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    steps.append([name, code, loaded])
-
-steps = []
-import qunravel
-step("import qunravel")
+sys.modules["scipy"] = None        # any scipy import now fails
 from qunravel import cli
-step("import qunravel.cli")
-dephasing, gks, out = sys.argv[1:]
-for command, scenario in (("simulate", dephasing), ("diagonalize", gks),
-                          ("choi", gks)):
-    code = cli.main([command, "--scenario", scenario, "--out", out])
-    step(command, code)
-print(json.dumps(steps))
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = [name for name, module in sys.modules.items()
+          if module is not None and name.split(".")[0] == "scipy"]
+print(json.dumps([codes, loaded]))
 """
 
 
-def test_only_the_oracle_loads_scipy(tmp_path):
-    # simulating and diagonalizing run on numpy alone; the oracle imports
-    # scipy on first use, and its output does not depend on when it did
-    from qunravel import cli
+def test_every_command_runs_without_scipy(tmp_path):
+    # the package is numpy-only: every command, the oracle's propagation
+    # and Choi matrices included, runs in a process that cannot load scipy
     from qunravel.scenario import complex_to_pairs
 
     src = os.path.dirname(os.path.dirname(lindblad.__file__))
-    dephasing = os.path.join(src, "qunravel", "data", "dephasing.json")
+    data = os.path.join(src, "qunravel", "data")
+    with open(os.path.join(data, "dephasing.json")) as fh:
+        scenario = json.load(fh)
+    scenario["trajectories"] = 40
+    scenario["integration"]["t_final"] = 0.05
+    small = tmp_path / "dephasing.json"
+    small.write_text(json.dumps(scenario))
     zero = complex_to_pairs(np.zeros((2, 2)))
     gks = tmp_path / "gks.json"
     gks.write_text(json.dumps({
         "dim": 2, "hamiltonian": zero, "lindblad_ops": [],
         "gks": {"hamiltonian": zero,
                 "kossakowski": complex_to_pairs(np.diag([1.0, 0.5, 0.25]))}}))
-    lazy, eager = tmp_path / "lazy", tmp_path / "eager"
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", ONLY_THE_ORACLE_LOADS_SCIPY,
-                          dephasing, str(gks), str(lazy)], env=env,
-                         capture_output=True, text=True, timeout=300)
+    commands = [
+        ["simulate", "--scenario", str(small), "--out", str(tmp_path / "s")],
+        ["variance-scan", "--scenario", str(small),
+         "--out", str(tmp_path / "v")],
+        ["diagonalize", "--scenario", str(gks), "--out", str(tmp_path / "g")],
+        ["choi", "--scenario", str(gks), "--out", str(tmp_path / "c")],
+        ["choi", "--scenario", str(small), "--out", str(tmp_path / "d")],
+        ["verify", "--scenario", os.path.join(data, "default_suite.json"),
+         "--out", str(tmp_path / "r")],
+    ]
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY,
+                          json.dumps(commands)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    steps = json.loads(run.stdout.splitlines()[-1])
-    assert [name for name, _, _ in steps] == [
-        "import qunravel", "import qunravel.cli", "simulate", "diagonalize",
-        "choi"]
-    for name, code, loaded in steps[:-1]:
-        assert code == 0 and loaded == [], name
-    name, code, loaded = steps[-1]
-    assert code == 0 and "scipy.linalg" in loaded
-    assert "scipy" in sys.modules      # this process imported it up front
-    assert cli.main(["choi", "--scenario", str(gks), "--out", str(eager)]) == 0
-    assert ((lazy / "choi.json").read_bytes()
-            == (eager / "choi.json").read_bytes())
+    codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands) and loaded == []
+    assert json.loads((tmp_path / "c" / "choi.json").read_text())[
+        "completely_positive"] is True
 
 
 def test_choi_matrix_identity_channel():
@@ -477,10 +483,6 @@ def test_real_generator_is_the_hermitian_basis_projection(d):
         S = lindblad._real_superop(L, d)
         assert S.dtype == float
         assert np.max(np.abs(S - full.real)) < 1e-13
-    rho = random_rho(rng, d) + 0.3j * random_hermitian(rng, d)
-    c = lindblad._coords(rho, d)
-    assert np.max(np.abs(c - dagger(T) @ vec(rho))) < 1e-15
-    assert np.max(np.abs(lindblad._from_coords(c, d) - rho)) < 1e-15
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -515,17 +517,78 @@ def traced_peak(fn):
 
 
 def test_oracle_memory_stays_within_a_few_superoperators():
-    # a complex d^2 x d^2 superoperator is 16 d^4 bytes; the real path keeps
-    # the Choi matrix below 6 of them and propagate_exact below 4
+    # a complex d^2 x d^2 superoperator is 16 d^4 bytes; the Choi matrix
+    # (seven real d^2 x d^2 buffers in the Pade exponential) stays below 4
+    # of them, and the matrix-free propagation, O(N d^2), below a quarter
     d = 16
     superop = 16 * d ** 4
     rng = np.random.default_rng(16)
     model = random_model(rng, d, n_ops=2)
     rho0 = random_rho(rng, d)
-    propagate_exact(model, rho0, 0.1)         # warm the lazy imports
-    assert traced_peak(lambda: choi_matrix(model, 0.2)) < 6 * superop
+    assert traced_peak(lambda: choi_matrix(model, 0.2)) < 4 * superop
     assert traced_peak(lambda: propagate_exact(
-        model, rho0, [0.1, 0.2, 0.3, 0.4])) < 4 * superop
+        model, rho0, [0.1, 0.2, 0.3, 0.4])) < 0.25 * superop
+
+
+# ---------------------------------------------------------------------------
+# the numpy oracle against scipy, which only the tests import
+
+def scaled_model(rng, d, scale=1.0):
+    """random_model with H and each operator of unit spectral norm, so that
+    the generator's norm does not grow with d, then the operators times
+    scale."""
+    m = random_model(rng, d, n_ops=2)
+    unit = [A / np.linalg.norm(A, 2) for A in (m.hamiltonian,) + m.lindblad_ops]
+    return LindbladModel(unit[0], tuple(scale * L for L in unit[1:]))
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
+def test_propagate_exact_matches_scipy(d):
+    from scipy.sparse.linalg import expm_multiply
+
+    rng = np.random.default_rng(500 + d)
+    rho0 = random_rho(rng, d)
+    rho0 = 0.5 * (rho0 + dagger(rho0))           # exactly Hermitian
+    skew = rho0 + 0.3j * random_hermitian(rng, d)
+    cases = [(scaled_model(rng, d), None, rho0, [0.7, 0.0, 0.3, 1.2]),
+             (scaled_model(rng, d), [1.0, -0.4], rho0, [0.5, 1.0]),
+             (scaled_model(rng, d), None, skew, [0.4, 1.1]),
+             (scaled_model(rng, d, scale=10.0), None, rho0, [1.0])]  # stiff
+    for model, rates, rho, times in cases:
+        L = liouvillian(model, rates)
+        got = propagate_exact(model, rho, times, rates=rates)
+        for t, state in zip(times, got):
+            want = unvec(expm_multiply(t * L, vec(rho)), d)
+            assert relative_error(state, want) < 1e-13, (t, rates)
+        if rho is rho0:
+            assert np.array_equal(got, got.conj().swapaxes(1, 2))
+
+
+def reshuffled_choi(P, d):
+    """choi[i d + a, j d + b] = P[a + b d, i + j d], by one transpose."""
+    return P.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
+def test_choi_matrices_match_scipy(d):
+    rng = np.random.default_rng(600 + d)
+    model = scaled_model(rng, d)
+    for t in (0.2, 1.0, 5.0):             # 0 to 5 squarings
+        P = expm(t * liouvillian(model))
+        if d <= 3:
+            assert np.array_equal(reshuffled_choi(P, d),
+                                  choi_by_matrix_units(P, d))
+        assert relative_error(choi_matrix(model, t),
+                              reshuffled_choi(P, d)) < 1e-13
+    if d <= 8:
+        for g in gks_cases(rng, d):
+            P = expm(0.4 * gks_liouvillian(g))
+            assert relative_error(gks_choi_matrix(g, 0.4),
+                                  reshuffled_choi(P, d)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

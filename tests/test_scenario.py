@@ -109,6 +109,14 @@ def test_bad_freedom_spec_is_reported():
         scenario_from_dict(bad)
 
 
+def test_non_string_freedom_is_reported():
+    bad = json.loads(json.dumps(MINIMAL))
+    bad["freedom"] = 5
+    with pytest.raises(ScenarioError, match="^freedom: must be a string, "
+                       "got 5$"):
+        scenario_from_dict(bad)
+
+
 def test_bad_integration_block():
     bad = json.loads(json.dumps(MINIMAL))
     for dt in (-1.0, float("nan")):
@@ -212,6 +220,27 @@ def test_invalid_json_reports_line_number(tmp_path):
     path.write_text('{\n  "dim": 2,\n  oops\n}\n')
     with pytest.raises(ScenarioError, match="line 3"):
         parse_scenario(path)
+
+
+def test_text_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(bytes.fromhex("fffe7b7d"))
+    with pytest.raises(ScenarioError, match=f"^{path}: not UTF-8 text: "):
+        parse_scenario(path)
+
+
+def test_required_keys_must_be_in_the_file(tmp_path):
+    data = json.loads(json.dumps(MINIMAL))
+    data.pop("trajectories", None)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert parse_scenario(path).trajectories == 1
+    with pytest.raises(ScenarioError,
+                       match="^missing required field 'trajectories'$"):
+        parse_scenario(path, required=("trajectories",))
+    data["trajectories"] = 7
+    path.write_text(json.dumps(data))
+    assert parse_scenario(path, required=("trajectories",)).trajectories == 7
 
 
 def write_scenario(scenario, path):

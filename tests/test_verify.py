@@ -365,6 +365,18 @@ BAD_ENTRIES = [
     (suite_entry("unraveling-equivalence",
                  freedoms=["unitary:[[1]]", "standard"]),
      r"unitary: must be JSON rows of \[re, im\] pairs"),
+    (suite_entry("generator-identity", fault="drop_ell2", expect="pas"),
+     "expect: must be 'pass' or 'fail', got 'pas'"),
+    (suite_entry("complete-positivity", expect=None),
+     "expect: must be 'pass' or 'fail', got None"),
+    (suite_entry("generator-identity", freedom=5),
+     "freedom: must be a string, got 5"),
+    # one trajectory by default would give a tolerance of 3 d + 5 dt
+    ({k: v for k, v in suite_entry("ensemble-vs-exact",
+                                   checkpoints=[0.1]).items()
+      if k != "trajectories"}, "missing required field 'trajectories'"),
+    ({k: v for k, v in suite_entry("unraveling-equivalence").items()
+      if k != "trajectories"}, "missing required field 'trajectories'"),
 ]
 
 
