@@ -329,11 +329,13 @@ def propagate_exact(model, rho0, t, rates=None):
 _PADE13 = [float(math.factorial(26 - k) // math.factorial(k)
                  // math.factorial(13 - k)) for k in range(14)]
 _THETA13 = 5.371920351148152
+# rows per block of the Pade sums' c X terms and of the Choi gather
+_BLOCK = 64
 
 
 def _expm(A, t):
     """exp(t A), A real and overwritten, by degree-13 Pade scaling and
-    squaring; c X terms go through one scratch buffer: 7 n x n arrays live."""
+    squaring; c X terms go through a _BLOCK-row scratch: 6 n x n live."""
     b = _PADE13
     norm = t * np.linalg.norm(A, 1)
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
@@ -341,13 +343,15 @@ def _expm(A, t):
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
-    scratch = np.empty_like(A)
+    scratch = np.empty_like(A[:_BLOCK])
 
     def poly(out, c6, c4, c2, c0=0.0):
-        # out = c6 A6 + c4 A4 + c2 A2 + c0 I
-        np.multiply(A6, c6, out=out)
-        out += np.multiply(A4, c4, out=scratch)
-        out += np.multiply(A2, c2, out=scratch)
+        # out = c6 A6 + c4 A4 + c2 A2 + c0 I, a row block at a time
+        for r in range(0, len(A), _BLOCK):
+            rows, tmp = slice(r, r + _BLOCK), scratch[:len(A) - r]
+            o = np.multiply(A6[rows], c6, out=out[rows])
+            o += np.multiply(A4[rows], c4, out=tmp)
+            o += np.multiply(A2[rows], c2, out=tmp)
         out[np.diag_indices(len(A))] += c0
         return out
 
@@ -362,9 +366,9 @@ def _expm(A, t):
     V -= U
     del U, W
     R = np.linalg.solve(V, P)
-    del A, V, P, Z
-    for _ in range(s):
-        R = R @ R
+    del A, P, Z
+    for _ in range(s):          # into V's freed buffer, not a new array
+        R, V = np.matmul(R, R, out=V), R
     return R
 
 
@@ -379,7 +383,11 @@ def _choi(t, d, build_superop):
     # conjugates of those of the p ones, so the result is exactly Hermitian.
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")
-    R = _expm(_real_superop(build_superop(), d), t)
+    return _choi_of(_expm(_real_superop(build_superop(), d), t), d)
+
+
+def _choi_of(R, d):
+    """Choi matrix of P = T R T^dag, gathered _BLOCK rows of p at a time."""
     p, q, e = _pairs(d)
     m = p.size
     s, a, g = slice(0, m), slice(m, 2 * m), slice(2 * m, None)
@@ -390,16 +398,19 @@ def _choi(t, d, build_superop):
         # rows X = a + b d and columns Y = i + j d of P
         c4[Y % d, X[:, None] % d, Y // d, X[:, None] // d] = block
 
-    pp = 0.5 * ((R[s, s] + R[a, a]) + 1j * (R[s, a] - R[a, s]))
-    pq = 0.5 * ((R[s, s] - R[a, a]) - 1j * (R[s, a] + R[a, s]))
-    pe = _R2 * (R[s, g] - 1j * R[a, g])
+    for r in range(0, m, _BLOCK):
+        k = slice(r, r + _BLOCK)
+        Rs, Ra = R[s][k], R[a][k]
+        pp = 0.5 * ((Rs[:, s] + Ra[:, a]) + 1j * (Rs[:, a] - Ra[:, s]))
+        pq = 0.5 * ((Rs[:, s] - Ra[:, a]) - 1j * (Rs[:, a] + Ra[:, s]))
+        pe = _R2 * (Rs[:, g] - 1j * Ra[:, g])
+        put(p[k], p, pp)
+        put(q[k], q, pp.conj())
+        put(p[k], q, pq)
+        put(q[k], p, pq.conj())
+        put(p[k], e, pe)
+        put(q[k], e, pe.conj())
     ep = _R2 * (R[g, s] + 1j * R[g, a])
-    put(p, p, pp)
-    put(q, q, pp.conj())
-    put(p, q, pq)
-    put(q, p, pq.conj())
-    put(p, e, pe)
-    put(q, e, pe.conj())
     put(e, p, ep)
     put(e, q, ep.conj())
     put(e, e, R[g, g])

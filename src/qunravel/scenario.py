@@ -87,6 +87,18 @@ def _require(data, key):
     return data[key]
 
 
+def _known(data, keys, name=None):
+    """Check that data is an object whose every key is in keys; a misspelt
+    key would otherwise leave its default in force without a word."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{name or 'scenario'}: must be an object, "
+                            f"got {data!r}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ScenarioError(f"{name + ': ' if name else ''}unknown key "
+                            f"{', '.join(map(repr, unknown))}")
+
+
 def _is_number(value):
     return not isinstance(value, bool) and isinstance(value, (int, float))
 
@@ -121,8 +133,8 @@ def _numbers(values, name):
 def _integration(raw):
     """The integration block: dt and t_final numbers, seed a non-negative
     integer, renormalize a boolean and record_stride a positive integer."""
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"integration: must be an object, got {raw!r}")
+    _known(raw, ("dt", "t_final", "seed", "renormalize", "record_stride"),
+           "integration")
     renormalize = raw.get("renormalize", True)
     if not isinstance(renormalize, bool):
         raise ScenarioError(f"integration.renormalize: must be true or "
@@ -140,7 +152,14 @@ def _integration(raw):
         raise ScenarioError(f"integration: {exc}") from None
 
 
-def scenario_from_dict(data):
+_SCENARIO_KEYS = ("dim", "hamiltonian", "lindblad_ops", "freedom", "psi0",
+                  "integration", "trajectories", "checkpoints", "gks",
+                  "variance_phases")
+
+
+def scenario_from_dict(data, extra=()):
+    """The Scenario of a JSON object whose keys are _SCENARIO_KEYS or extra."""
+    _known(data, _SCENARIO_KEYS + tuple(extra))
     dim = _integer(_require(data, "dim"), "dim")
     H = pairs_to_complex(_require(data, "hamiltonian"), "hamiltonian")
     if H.shape != (dim, dim):
@@ -180,6 +199,7 @@ def scenario_from_dict(data):
     gks = None
     if "gks" in data:
         raw = data["gks"]
+        _known(raw, ("hamiltonian", "kossakowski", "basis"), "gks")
         basis = tuple(
             pairs_to_complex(F, f"gks.basis[{i}]")
             for i, F in enumerate(raw.get("basis", [])))

@@ -18,8 +18,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import hilbert, lindblad, sde
-from .scenario import (ScenarioError, _integer, _number, _numbers, _require,
-                       complex_to_pairs, read_json, scenario_from_dict)
+from .scenario import (ScenarioError, _integer, _known, _number, _numbers,
+                       _require, complex_to_pairs, read_json,
+                       scenario_from_dict)
 from .tolerances import TOL
 from .unraveling import Unraveling, generator_term
 
@@ -207,12 +208,15 @@ def check_ensemble_vs_exact(model, freedom, psi0, cfg, n_trajectories,
     distances = {f"{t:g}": hilbert.trace_distance(rho, rho_exact)
                  for t, rho, rho_exact in zip(times, est.rho_hat, exact)}
     passed = all(v <= tol for v in distances.values())
+    measured = {"trace_distances": distances,
+                "max_distance": max(distances.values()),
+                "n_trajectories": n_trajectories}
+    if tol >= 1:        # no two density matrices are further apart than 1
+        measured["vacuous"] = True
     return VerificationReport(
         name="ensemble-vs-exact",
         passed=passed,
-        measured={"trace_distances": distances,
-                  "max_distance": max(distances.values()),
-                  "n_trajectories": n_trajectories},
+        measured=measured,
         tolerance=tol,
         seconds=time.perf_counter() - t0,
         config_hash=config_hash({
@@ -262,11 +266,14 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
                 for i, r in enumerate(rhos)}
     passed = (all(v <= 2 * tol for v in pairwise.values())
               and all(v <= tol for v in vs_exact.values()))
+    measured = {"pairwise": pairwise, "vs_exact": vs_exact, "faults": faults,
+                "t": t}
+    if 2 * tol >= 1:    # the pairwise bound cannot be exceeded
+        measured["vacuous"] = True
     return VerificationReport(
         name="unraveling-equivalence",
         passed=passed,
-        measured={"pairwise": pairwise, "vs_exact": vs_exact,
-                  "faults": faults, "t": t},
+        measured=measured,
         tolerance=tol,
         seconds=time.perf_counter() - t0,
         config_hash=config_hash({
@@ -290,9 +297,18 @@ def _names(values, name, null=False):
                         f"{' or nulls' if null else ''}, got {values!r}")
 
 
+# the keys each check reads besides a scenario's, "check" and "expect"
+_CHECK_KEYS = {"generator-identity": ("samples", "seed", "fault"),
+               "ensemble-vs-exact": (),
+               "unraveling-equivalence": ("freedoms", "t", "faults"),
+               "complete-positivity": ("times",)}
+
+
 def _run_check(kind, entry, threads):
+    if not isinstance(kind, str) or kind not in _CHECK_KEYS:
+        raise ScenarioError(f"unknown check type {kind!r}")
+    sc = scenario_from_dict(entry, ("check", "expect") + _CHECK_KEYS[kind])
     if kind == "generator-identity":
-        sc = scenario_from_dict(entry)
         return check_generator_identity(
             sc.model(), sc.freedom_spec,
             samples=_integer(entry.get("samples", 100), "samples"),
@@ -300,13 +316,11 @@ def _run_check(kind, entry, threads):
             fault=entry.get("fault"))
     # one trajectory by default would give a tolerance no distance exceeds
     if kind == "ensemble-vs-exact":
-        sc = scenario_from_dict(entry)
         _require(entry, "trajectories")
         return check_ensemble_vs_exact(
             sc.model(), sc.freedom_spec, sc.psi0, sc.integration,
             sc.trajectories, sc.checkpoints, threads=threads)
     if kind == "unraveling-equivalence":
-        sc = scenario_from_dict(entry)
         freedoms = _names(entry.get("freedoms", [sc.freedom_spec]), "freedoms")
         t = _number(_require(entry, "t"), "t")
         faults = _names(entry.get("faults"), "faults", null=True)
@@ -314,22 +328,20 @@ def _run_check(kind, entry, threads):
         return check_unraveling_equivalence(
             sc.model(), freedoms, sc.psi0, sc.integration, sc.trajectories,
             t, faults=faults, threads=threads)
-    if kind == "complete-positivity":
-        sc = scenario_from_dict(entry)
-        if sc.gks is None:
-            raise ScenarioError("needs a gks block")
-        return check_complete_positivity(
-            sc.gks, _numbers(entry.get("times", [0.1, 1.0]), "times"))
-    raise ScenarioError(f"unknown check type {kind!r}")
+    if sc.gks is None:          # complete-positivity
+        raise ScenarioError("needs a gks block")
+    return check_complete_positivity(
+        sc.gks, _numbers(entry.get("times", [0.1, 1.0]), "times"))
 
 
 def run_suite(config, threads=1):
     """Execute the named checks of a suite configuration in declared order.
 
     config is a dict (or a path to a JSON file) with a "checks" list of
-    objects, each scenario fields with "check" and optional "expect" ("pass"
-    by default, "fail" for fault-injection entries); any other shape, or any
-    other expect, raises ScenarioError.  An entry the checks reject as input
+    objects, each scenario fields with "check", optional "expect" ("pass"
+    by default, "fail" for fault-injection entries) and the fields its check
+    reads; any other shape or key, or any other expect, raises
+    ScenarioError.  An entry the checks reject as input
     (an unknown fault, a faults list that does not match the freedoms, a
     checkpoint off the step grid or not positive, an ensemble check without
     "trajectories") raises ScenarioError naming the check.
@@ -341,6 +353,7 @@ def run_suite(config, threads=1):
             and all(isinstance(entry, dict) for entry in checks)):
         raise ScenarioError("suite: must be an object whose 'checks' is a "
                             "list of objects")
+    _known(config, ("checks",), "suite")
     reports = []
     for entry in checks:
         kind = entry.get("check")

@@ -561,7 +561,7 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
 def test_an_ensemble_command_needs_the_trajectory_count(tmp_path, capsys,
                                                         command):
     data = small_scenario()
-    data["trajectoires"] = data.pop("trajectories")
+    del data["trajectories"]
     scn = write(tmp_path, data)
     out = tmp_path / "out"
     assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
@@ -570,9 +570,39 @@ def test_an_ensemble_command_needs_the_trajectory_count(tmp_path, capsys,
     assert not out.exists()
 
 
+def suite_of(**fields):
+    """A one-entry ensemble-vs-exact suite on small_scenario, with fields."""
+    return {"checks": [small_scenario(check="ensemble-vs-exact",
+                                      checkpoints=[0.05], **fields)]}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("simulate",
+     small_scenario(integration={"dt": 0.001, "t_final": 0.05, "sed": 5}),
+     "integration: unknown key 'sed'"),
+    ("simulate", small_scenario(trajectoires=40),
+     "unknown key 'trajectoires'"),
+    ("verify", suite_of(trajectoires=40),
+     "check 'ensemble-vs-exact': unknown key 'trajectoires'"),
+    ("verify", suite_of(t=0.05),          # read only by another check
+     "check 'ensemble-vs-exact': unknown key 't'"),
+    ("verify", dict(suite_of(), chekcs=[]), "suite: unknown key 'chekcs'"),
+    ("choi", small_scenario(gks=dict(gks_block(), kosakowski=[])),
+     "gks: unknown key 'kosakowski'"),
+])
+def test_an_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, data,
+                                             message):
+    scn = write(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_misspelt_trajectory_count_cannot_pass_a_fault(tmp_path, capsys):
     # the bundled drop_ell2 entry with its count misspelt would run one
-    # trajectory, whose tolerance 3 d + 5 dt no trace distance can exceed
+    # trajectory, whose tolerance 3 d + 5 dt no trace distance can exceed;
+    # the misspelt key is rejected by name
     ref = importlib.resources.files("qunravel") / "data" / "default_suite.json"
     suite = json.loads(ref.read_text())
     entry, = [e for e in suite["checks"] if e.get("faults")]
@@ -581,6 +611,6 @@ def test_a_misspelt_trajectory_count_cannot_pass_a_fault(tmp_path, capsys):
     scn = write(tmp_path, {"checks": [entry]}, "suite.json")
     out = tmp_path / "out"
     assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
-    assert ("error: check 'unraveling-equivalence': missing required field "
-            "'trajectories'" in capsys.readouterr().err)
+    assert ("error: check 'unraveling-equivalence': unknown key "
+            "'trajectoires'" in capsys.readouterr().err)
     assert not out.exists()

@@ -157,6 +157,29 @@ def test_integration_block_must_be_an_object(block):
         scenario_from_dict(bad)
 
 
+@pytest.mark.parametrize("where, key", [
+    (None, "trajectoires"), ("integration", "sed"), ("gks", "kossakowsky")])
+def test_an_unknown_key_is_rejected_by_name(where, key):
+    # a misspelt key would leave its default in force: seed 0, one trajectory
+    bad = json.loads(json.dumps(MINIMAL))
+    bad["gks"] = {"hamiltonian": bad["hamiltonian"],
+                  "kossakowski": complex_to_pairs(np.eye(3))}
+    (bad[where] if where else bad)[key] = 5
+    prefix = f"{where}: " if where else ""
+    with pytest.raises(ScenarioError, match=f"^{prefix}unknown key '{key}'$"):
+        scenario_from_dict(bad)
+    del (bad[where] if where else bad)[key]
+    scenario_from_dict(bad)
+    # a caller's own keys are let through
+    scenario_from_dict(dict(bad, check="ensemble-vs-exact"), ("check",))
+
+
+@pytest.mark.parametrize("data", [[MINIMAL], 5, "dim"])
+def test_a_scenario_must_be_an_object(data):
+    with pytest.raises(ScenarioError, match="^scenario: must be an object"):
+        scenario_from_dict(data)
+
+
 def test_integration_fields_are_read_as_given():
     data = json.loads(json.dumps(MINIMAL))
     data["integration"].update(dt=1, t_final=2, seed=2 ** 64 - 1,

@@ -318,8 +318,9 @@ def suite_entry(check, **fields):
              "lindblad_ops": [complex_to_pairs(SIGMA_Z)],
              "psi0": complex_to_pairs(PLUS),
              "integration": {"dt": 1e-2, "t_final": 0.1, "seed": 4},
-             "trajectories": 10, "freedoms": ["standard", "standard"],
-             "t": 0.1}
+             "trajectories": 10}
+    if check == "unraveling-equivalence":
+        entry.update(freedoms=["standard", "standard"], t=0.1)
     if check == "complete-positivity":
         entry.update(lindblad_ops=[], gks={
             "hamiltonian": H, "kossakowski": complex_to_pairs(np.eye(3))})
@@ -408,6 +409,52 @@ def test_run_suite_entry_fields_are_read_as_given():
     assert ([r.config_hash for r in plain]
             == [r.config_hash for r in floats])
     assert plain[0].measured["samples"] == 20
+
+
+@pytest.mark.parametrize("trajectories, vacuous", [(36, True), (64, False)])
+def test_ensemble_vs_exact_flags_a_bound_no_distance_can_exceed(trajectories,
+                                                                vacuous):
+    # d = 2, dt = 0.01: tol = 6 / sqrt(M) + 0.05 is at least 1 for M = 36,
+    # and no trace distance between density matrices exceeds 1
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=3)
+    r = check_ensemble_vs_exact(DEPHASING, "standard", PLUS, cfg,
+                                trajectories, [0.1])
+    assert (r.tolerance >= 1) == vacuous
+    assert r.measured.get("vacuous") is (True if vacuous else None)
+
+
+@pytest.mark.parametrize("trajectories, vacuous", [(100, True), (400, False)])
+def test_equivalence_flags_a_pairwise_bound_no_distance_can_exceed(
+        trajectories, vacuous):
+    # tol = 6 / sqrt(M) + 0.05: 0.65 for M = 100, whose pairwise bound 2 tol
+    # is above 1, and 0.35 for M = 400
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=3)
+    r = check_unraveling_equivalence(DEPHASING, ["standard", "diosi-complex"],
+                                     PLUS, cfg, trajectories, 0.1)
+    assert r.tolerance < 1 and (2 * r.tolerance >= 1) == vacuous
+    assert r.measured.get("vacuous") is (True if vacuous else None)
+
+
+def test_the_d32_oracle_entry_is_vacuous_and_the_bundled_suite_is_not(
+        tmp_path):
+    # the benchmark's d = 32 ensemble entry: M = 128, dt = 1e-3, tol 8.49
+    d = 32
+    rng = np.random.default_rng(32)
+    model = random_model(rng, d, n_ops=2)
+    psi0 = random_state(rng, d)
+    entry = {"check": "ensemble-vs-exact", "dim": d,
+             "hamiltonian": complex_to_pairs(model.hamiltonian),
+             "lindblad_ops": [complex_to_pairs(L) for L in model.lindblad_ops],
+             "psi0": complex_to_pairs(psi0),
+             "integration": {"dt": 1e-3, "t_final": 0.2, "seed": 5},
+             "trajectories": 128, "checkpoints": [0.05, 0.1, 0.15, 0.2]}
+    report, = run_suite({"checks": [entry]})
+    assert report.tolerance == pytest.approx(8.49, abs=5e-3)
+    assert report.to_dict()["measured"]["vacuous"] is True
+    ref = importlib.resources.files("qunravel") / "data" / "default_suite.json"
+    reports = run_suite(json.loads(ref.read_text()))
+    assert suite_ok(reports)
+    assert not [r.name for r in reports if "vacuous" in r.measured]
 
 
 def test_run_suite_rejects_unknown_check():
