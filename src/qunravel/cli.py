@@ -10,11 +10,11 @@ blow-up (then no output is written).
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
-from collections import deque
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .tolerances import TOL
 from .unraveling import Unraveling
 
 _FMT = "%.17g"   # lossless double round-trip
+_TILE = 64       # rows per choi.json formatting task
 # Compact, sorted-key JSON through the C encoder.  The payloads are trees of
 # lists, dicts and numbers, never circular, so the cycle check is skipped.
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
@@ -42,47 +43,125 @@ def _write_csv(path, header_fields, columns, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _conjugate_text(text):
-    """Negate every imaginary part of a compact [[re, im], ...] list.
+def _conjugated_entries(text):
+    """The entries of a compact [[re, im], ...] list, without brackets,
+    each with its imaginary part negated.
 
     Inside a pair the only comma precedes the imaginary part, so a minus
-    sign is put after it and a doubled one cancelled; signed zeros flip
-    too, exactly as float.__repr__ would print the conjugate.
+    sign is put after every comma and a doubled one cancelled; the "],["
+    between pairs becomes "],-[", on which the entries are split.  Signed
+    zeros flip too, exactly as float.__repr__ would print the conjugate.
     """
-    return (text.replace("],[", "]|[").replace(",", ",-")
-            .replace(",--", ",").replace("]|[", "],["))
+    return text[2:-2].replace(",", ",-").replace(",--", ",").split("],-[")
+
+
+def _mirrors(lower, upper):
+    """Whether lower is finite and bit-equal to upper's conjugate transpose
+    (NaN prints without a sign, so a conjugated NaN's text would be wrong)."""
+    return bool(np.isfinite(lower).all()) and np.array_equal(
+        lower.view(np.uint64),
+        np.ascontiguousarray(upper.T.conj()).view(np.uint64))
+
+
+def _tile_rows(M, b):
+    """Text of the rows of tile row b of square M, from column b*_TILE on,
+    and of each tile below it in those columns.
+
+    A row inside the diagonal tile takes the conjugated text of the column
+    above it where that is a mirror (see _mirrors), as does each tile below
+    as a whole; what is not a mirror is formatted.  Returns the rows as
+    compact lists, and per tile below, per row, its "re,im],[re,im..."
+    entries without the outer brackets.
+    """
+    n = len(M)
+    b0, b1 = b * _TILE, min(n, (b + 1) * _TILE)
+    rows, conj = [], []
+    for i in range(b0, b1):
+        tail = _json(complex_to_pairs(M[i, i:]))
+        conj.append(_conjugated_entries(tail))
+        if i > b0:
+            lower = M[i, b0:i]
+            if _mirrors(lower, M[b0:i, i]):
+                head = "[[" + "],[".join(
+                    c[i - k] for k, c in enumerate(conj[:-1], b0)) + "]"
+            else:
+                head = _json(complex_to_pairs(lower))[:-1]
+            tail = head + "," + tail[1:]
+        rows.append(tail)
+    below = []
+    for c0 in range(b1, n, _TILE):
+        c1 = min(n, c0 + _TILE)
+        lower = M[c0:c1, b0:b1]
+        if _mirrors(lower, M[b0:b1, c0:c1]):
+            columns = zip(*(c[c0 - k:c1 - k] for k, c in enumerate(conj, b0)))
+            below.append(["],[".join(column) for column in columns])
+        else:
+            below.append([_json(complex_to_pairs(row))[2:-2]
+                          for row in lower])
+    return rows, below
+
+
+# A forked task returns _tile_rows's text as one string: the rows, then
+# each tile below, as tab-separated sections of lines (JSON numbers hold
+# neither character).  The pool's result thread then allocates one string
+# per task; the rows and tiles this process holds are split from it by the
+# main thread, whose allocator reuses the memory the matrix freed, where a
+# string per row or tile would grow the result thread's own malloc arena.
+def _packed_tile_rows(M, b):
+    rows, below = _tile_rows(M, b)
+    return "\t".join(["\n".join(rows)] + ["\n".join(tile) for tile in below])
+
+
+def _unpacked(text):
+    rows, *below = [section.split("\n") for section in text.split("\t")]
+    return rows, below
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _rows(M):
     """Yield the _json(complex_to_pairs(row)) text of each row of square M.
 
-    Each row is formatted from its diagonal on.  Below the diagonal a
-    Hermitian matrix repeats the rows above, conjugated, so the text of
-    every entry right of the diagonal is held, conjugated, for the row it
-    mirrors into.  A row takes that held text only where its part left of
-    the diagonal is finite and bit-equal to the conjugate of the column
-    above (NaN prints without a sign); otherwise that part is formatted
-    as well.  The bytes are the same either way, for any matrix.
+    Each row is formatted from its diagonal on, in tasks of _TILE rows.
+    Below the diagonal a Hermitian matrix repeats the rows above,
+    conjugated, so a task also hands each tile right of its diagonal tile,
+    as conjugated and transposed text, to the rows it mirrors into (see
+    _tile_rows).  The bytes are the same either way, for any matrix.
+
+    The tasks run in up to one forked worker per CPU of this process's
+    affinity set, and in this process for a single tile, a single CPU, or
+    where sde._fork_pool starts none.  Once the workers are forked this
+    generator keeps no reference to M, so the caller's last reference is
+    the matrix's last.
     """
     M = np.ascontiguousarray(M, dtype=complex)
-    held = deque([] for _ in range(len(M)))   # text for rows i, i+1, ...
-    for i, row in enumerate(M):
-        prefix = held.popleft()
-        tail = _json(complex_to_pairs(row[i:]))
-        mirrored = _conjugate_text(tail)[2:-2].split("],[")[1:]
-        for below, entry in zip(held, mirrored):
-            below.append(entry)
-        if not i:
-            yield tail
-            continue
-        lower = row[:i]
-        if (np.isfinite(lower).all()
-                and np.array_equal(lower.view(np.uint64),
-                                   M[:i, i].conj().view(np.uint64))):
-            head = "[[" + "],[".join(prefix) + "]"
+    tiles = -(-len(M) // _TILE)
+    workers = min(_cpu_count(), tiles)
+    held = [M]
+    pool = (sde._fork_pool(lambda b: _packed_tile_rows(held[0], b), workers)
+            if workers > 1 else None)
+    with pool or contextlib.nullcontext():
+        if pool:
+            packed = pool.map(sde._run_job, range(tiles))  # forks them all
+            del M, held[0]
+            results = map(_unpacked, packed)
         else:
-            head = _json(complex_to_pairs(lower))[:-1]
-        yield head + "," + tail[1:]
+            results = (_tile_rows(M, b) for b in range(tiles))
+        left = [[] for _ in range(tiles)]     # tile text for rows of tile b
+        for b, (rows, below) in enumerate(results):
+            for c, tile in enumerate(below, b + 1):
+                left[c].append(tile)
+            pieces, left[b] = left[b], None
+            for k, row in enumerate(rows):
+                if pieces:
+                    row = ("[[" + "],[".join([tile[k] for tile in pieces])
+                           + "]," + row[1:])
+                yield row
 
 
 def _write_json(path, payload):
@@ -91,7 +170,8 @@ def _write_json(path, payload):
     _json takes the C encoder (json.dump never does).  An ndarray
     value of a dict payload, a square complex matrix, is written one row
     at a time as nested [re, im] pairs (see _rows), so it is never held
-    as one string.
+    as one string.  It is taken out of payload as it is written, so that
+    _rows may hold the matrix's last reference.
     """
     with open(path, "w") as fh:
         if not isinstance(payload, dict):
@@ -100,14 +180,13 @@ def _write_json(path, payload):
             fh.write("{")
             for i, key in enumerate(sorted(payload)):
                 fh.write(("," if i else "") + _json(key) + ":")
-                value = payload[key]
-                if isinstance(value, np.ndarray):
+                if isinstance(payload[key], np.ndarray):
                     fh.write("[")
-                    for j, row in enumerate(_rows(value)):
+                    for j, row in enumerate(_rows(payload.pop(key))):
                         fh.write(("," if j else "") + row)
                     fh.write("]")
                 else:
-                    fh.write(_json(value))
+                    fh.write(_json(payload[key]))
             fh.write("}")
         fh.write("\n")
 
@@ -203,6 +282,7 @@ def cmd_choi(args):
         "completely_positive": bool(min_eig >= TOL.psd_floor),
         "choi": choi,
     }
+    del choi    # the writer frees it once its workers hold copies
     _write_json(os.path.join(args.out, "choi.json"), payload)
     return 0
 

@@ -337,10 +337,10 @@ def _run_check(kind, entry, threads):
 def run_suite(config, threads=1):
     """Execute the named checks of a suite configuration in declared order.
 
-    config is a dict (or a path to a JSON file) with a "checks" list of
-    objects, each scenario fields with "check", optional "expect" ("pass"
-    by default, "fail" for fault-injection entries) and the fields its check
-    reads; any other shape or key, or any other expect, raises
+    config is a dict (or a path to a JSON file) with a non-empty "checks"
+    list of objects, each scenario fields with "check", optional "expect"
+    ("pass" by default, "fail" for fault-injection entries) and the fields
+    its check reads; any other shape or key, or any other expect, raises
     ScenarioError.  An entry the checks reject as input
     (an unknown fault, a faults list that does not match the freedoms, a
     checkpoint off the step grid or not positive, an ensemble check without
@@ -348,11 +348,11 @@ def run_suite(config, threads=1):
     """
     if isinstance(config, (str, bytes)) or hasattr(config, "__fspath__"):
         config = read_json(config, "suite")
-    checks = config.get("checks", []) if isinstance(config, dict) else None
-    if not (isinstance(checks, list)
+    checks = config.get("checks") if isinstance(config, dict) else None
+    if not (isinstance(checks, list) and checks
             and all(isinstance(entry, dict) for entry in checks)):
         raise ScenarioError("suite: must be an object whose 'checks' is a "
-                            "list of objects")
+                            "non-empty list of objects")
     _known(config, ("checks",), "suite")
     reports = []
     for entry in checks:

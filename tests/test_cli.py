@@ -3,11 +3,12 @@
 import importlib.resources
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from qunravel import cli, lindblad
+from qunravel import cli, lindblad, sde
 from qunravel.hilbert import SIGMA_Z
 from qunravel.scenario import complex_to_pairs, pairs_to_complex, parse_scenario
 
@@ -213,13 +214,14 @@ def test_bad_suite_entry_exits_2(tmp_path, capsys, fields, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("suite", [[1], {"checks": 5}, {"checks": [5]}])
+@pytest.mark.parametrize("suite", [[1], {"checks": 5}, {"checks": [5]}, {},
+                                   {"checks": []}])
 def test_malformed_suite_exits_2(tmp_path, capsys, suite):
     scn = write(tmp_path, suite, "suite.json")
     out = tmp_path / "out"
     assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
-    assert ("error: suite: must be an object whose 'checks' is a list of "
-            "objects") in capsys.readouterr().err
+    assert ("error: suite: must be an object whose 'checks' is a non-empty "
+            "list of objects") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -425,6 +427,78 @@ def test_rows_format_what_is_not_a_finite_exact_mirror(monkeypatch):
         # in full: extra counts the entries left of its diagonal
         assert count[0] == 28 + extra
     assert "NaN" in plain_rows(nonfinite)[3]
+
+
+def writer_matrix(kind, n):
+    """A matrix of one kind and the number of entries below its diagonal
+    that _rows must format, not mirror: a lower tile, or a row's part of
+    a diagonal tile, that is not a finite exact mirror."""
+    rng = np.random.default_rng(n)
+    if kind == "general":
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), \
+            n * (n - 1) // 2
+    M = bit_hermitian(rng, n)
+    # entry (n - 1, 1) lies in the lower tile of the last tile row and the
+    # first tile column, and that whole tile is formatted
+    corner = (n - (n - 1) // cli._TILE * cli._TILE) * cli._TILE
+    if kind == "flipped":
+        M.view(np.uint64).reshape(n, 2 * n)[n - 1, 2 * 1 + 1] ^= 1
+        return M, corner
+    if kind == "nonfinite":
+        for (i, j), z in [((0, 3), complex(np.nan, np.inf)),
+                          ((1, n - 1), complex(np.inf, -np.nan))]:
+            M[i, j], M[j, i] = z, np.conj(z)
+        return M, 3 + corner     # and row 3 inside the first diagonal tile
+    return M, 0
+
+
+def fork_pools(monkeypatch, cpus):
+    """Give this process `cpus` CPUs; returns the worker count of every
+    pool sde._fork_pool then starts."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    started = []
+    fork_pool = sde._fork_pool
+
+    def spy(job, workers):
+        started.append(workers)
+        return fork_pool(job, workers)
+
+    monkeypatch.setattr(sde, "_fork_pool", spy)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["hermitian", "general", "flipped",
+                                  "nonfinite"])
+@pytest.mark.parametrize("n", [65, 128, 130, 200])
+def test_rows_are_the_plain_text_across_tiles_and_workers(monkeypatch, n,
+                                                          kind, cpus):
+    M, formatted_below = writer_matrix(kind, n)
+    expected = plain_rows(M)
+    started = fork_pools(monkeypatch, cpus)
+    count = formatted_entries(monkeypatch)
+    assert list(cli._rows(M)) == expected
+    tiles = -(-n // cli._TILE)
+    if cpus == 1:
+        assert started == []
+        assert count[0] == n * (n + 1) // 2 + formatted_below
+    else:
+        # the forked workers format every entry, this process none
+        assert started == [min(cpus, tiles)]
+        assert count[0] == 0
+
+
+def test_rows_let_go_of_the_matrix_once_the_workers_are_forked(monkeypatch):
+    M = bit_hermitian(np.random.default_rng(3), 130)
+    expected = plain_rows(M)
+    started = fork_pools(monkeypatch, 2)
+    matrix = weakref.ref(M)
+    rows = cli._rows(M)
+    del M
+    first = next(rows)
+    assert started == [2] and matrix() is None
+    assert [first] + list(rows) == expected
 
 
 def test_choi_file_is_the_plain_per_row_text(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the drift/diffusion construction across the unitary freedom."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 from qunravel import hilbert, lindblad
 from qunravel.hilbert import SIGMA_X, SIGMA_Z, dagger, normalize
 from qunravel.lindblad import LindbladModel
+from qunravel.scenario import complex_to_pairs
 from qunravel.unraveling import (DIOSI_COMPLEX_U, UnitaryFreedom, Unraveling,
                                  diffusion_vectors, drift_vector,
                                  generator_term, parse_freedom, standard_freedom)
+
+from randomized import random_model, random_unitary
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -145,6 +150,24 @@ def test_generator_identity_with_padded_noise():
     psi = random_state(rng, 3)
     rhs = lindblad.lindblad_rhs(model, hilbert.outer(psi, psi))
     assert np.max(np.abs(generator_term(u, psi) - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("n_ops, N", [(2, 2), (2, 4)])
+def test_a_unitary_spec_mixes_the_padded_operators_by_its_rows(n_ops, N):
+    # rotated[k] = sum_j u[k, j] L_j, the definition; u is complex and the
+    # n x n block of u^T u is not real, so neither the transpose nor the
+    # conjugate of u names the same member
+    rng = np.random.default_rng(12)
+    model = random_model(rng, 3, n_ops)
+    assert np.abs(model.hamiltonian.imag).max() > 0.1
+    u = random_unitary(rng, N)
+    assert np.abs((u.T @ u)[:n_ops, :n_ops].imag).max() > 0.1
+    spec = "unitary:" + json.dumps(complex_to_pairs(u))
+    padded = np.zeros((N, 3, 3), dtype=complex)
+    padded[:n_ops] = model.lindblad_ops
+    np.testing.assert_allclose(Unraveling(model, spec).rotated,
+                               np.einsum("kj,jab->kab", u, padded),
+                               rtol=1e-14, atol=1e-15)
 
 
 def test_standard_freedom_default():

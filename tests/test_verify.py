@@ -389,10 +389,11 @@ def test_run_suite_rejects_bad_entry_fields(entry, message):
 
 
 @pytest.mark.parametrize("suite", [
-    [1], {"checks": 5}, {"checks": [suite_entry("generator-identity"), 5]}])
+    [1], {"checks": 5}, {"checks": [suite_entry("generator-identity"), 5]},
+    {}, {"checks": []}])
 def test_run_suite_rejects_malformed_suites(suite):
     with pytest.raises(ScenarioError, match="^suite: must be an object whose "
-                       "'checks' is a list of objects$"):
+                       "'checks' is a non-empty list of objects$"):
         run_suite(suite)
 
 
