@@ -10,8 +10,8 @@ blow-up (then no output is written).
 """
 
 import argparse
-import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -63,19 +63,22 @@ def _mirrors(lower, upper):
         np.ascontiguousarray(upper.T.conj()).view(np.uint64))
 
 
-def _tile_rows(M, b):
-    """Text of the rows of tile row b of square M, from column b*_TILE on,
-    and of each tile below it in those columns.
+def _tile_text(M, b):
+    """Text of tile row b of square M, as lines: each of its rows from
+    column b*_TILE on, as a compact list, then each later row's entries in
+    those columns, as "re,im],[re,im..." without the outer brackets.
 
     A row inside the diagonal tile takes the conjugated text of the column
     above it where that is a mirror (see _mirrors), as does each tile below
-    as a whole; what is not a mirror is formatted.  Returns the rows as
-    compact lists, and per tile below, per row, its "re,im],[re,im..."
-    entries without the outer brackets.
+    as a whole; what is not a mirror is formatted.  The lines come as one
+    newline-joined string (JSON numbers hold no line break), so a forked
+    task returns one object, which the caller's main thread splits where
+    its allocator reuses the memory the matrix freed; a string per row
+    would grow the malloc arena of the pool's result thread instead.
     """
     n = len(M)
     b0, b1 = b * _TILE, min(n, (b + 1) * _TILE)
-    rows, conj = [], []
+    lines, conj = [], []
     for i in range(b0, b1):
         tail = _json(complex_to_pairs(M[i, i:]))
         conj.append(_conjugated_entries(tail))
@@ -87,34 +90,16 @@ def _tile_rows(M, b):
             else:
                 head = _json(complex_to_pairs(lower))[:-1]
             tail = head + "," + tail[1:]
-        rows.append(tail)
-    below = []
+        lines.append(tail)
     for c0 in range(b1, n, _TILE):
         c1 = min(n, c0 + _TILE)
         lower = M[c0:c1, b0:b1]
         if _mirrors(lower, M[b0:b1, c0:c1]):
             columns = zip(*(c[c0 - k:c1 - k] for k, c in enumerate(conj, b0)))
-            below.append(["],[".join(column) for column in columns])
+            lines.extend("],[".join(column) for column in columns)
         else:
-            below.append([_json(complex_to_pairs(row))[2:-2]
-                          for row in lower])
-    return rows, below
-
-
-# A forked task returns _tile_rows's text as one string: the rows, then
-# each tile below, as tab-separated sections of lines (JSON numbers hold
-# neither character).  The pool's result thread then allocates one string
-# per task; the rows and tiles this process holds are split from it by the
-# main thread, whose allocator reuses the memory the matrix freed, where a
-# string per row or tile would grow the result thread's own malloc arena.
-def _packed_tile_rows(M, b):
-    rows, below = _tile_rows(M, b)
-    return "\t".join(["\n".join(rows)] + ["\n".join(tile) for tile in below])
-
-
-def _unpacked(text):
-    rows, *below = [section.split("\n") for section in text.split("\t")]
-    return rows, below
+            lines.extend(_json(complex_to_pairs(row))[2:-2] for row in lower)
+    return "\n".join(lines)
 
 
 def _cpu_count():
@@ -129,66 +114,39 @@ def _rows(M):
 
     Each row is formatted from its diagonal on, in tasks of _TILE rows.
     Below the diagonal a Hermitian matrix repeats the rows above,
-    conjugated, so a task also hands each tile right of its diagonal tile,
-    as conjugated and transposed text, to the rows it mirrors into (see
-    _tile_rows).  The bytes are the same either way, for any matrix.
+    conjugated, so a task also hands each later row, as conjugated and
+    transposed text, its entries in the task's columns (see _tile_text).
+    The bytes are the same either way, for any matrix.
 
-    The tasks run in up to one forked worker per CPU of this process's
-    affinity set, and in this process for a single tile, a single CPU, or
-    where sde._fork_pool starts none.  Once the workers are forked this
+    The tasks run through sde._fork_map, in up to one forked worker per CPU
+    of this process's affinity set.  Once the workers are forked this
     generator keeps no reference to M, so the caller's last reference is
     the matrix's last.
     """
     M = np.ascontiguousarray(M, dtype=complex)
-    tiles = -(-len(M) // _TILE)
-    workers = min(_cpu_count(), tiles)
-    held = [M]
-    pool = (sde._fork_pool(lambda b: _packed_tile_rows(held[0], b), workers)
-            if workers > 1 else None)
-    with pool or contextlib.nullcontext():
-        if pool:
-            packed = pool.map(sde._run_job, range(tiles))  # forks them all
-            del M, held[0]
-            results = map(_unpacked, packed)
-        else:
-            results = (_tile_rows(M, b) for b in range(tiles))
-        left = [[] for _ in range(tiles)]     # tile text for rows of tile b
-        for b, (rows, below) in enumerate(results):
-            for c, tile in enumerate(below, b + 1):
-                left[c].append(tile)
-            pieces, left[b] = left[b], None
-            for k, row in enumerate(rows):
-                if pieces:
-                    row = ("[[" + "],[".join([tile[k] for tile in pieces])
-                           + "]," + row[1:])
-                yield row
+    n = len(M)
+    tiles = -(-n // _TILE)
+    texts = sde._fork_map(functools.partial(_tile_text, M), range(tiles),
+                          min(_cpu_count(), tiles))
+    del M
+    left = [[] for _ in range(n)]     # each row's text left of its tile
+    # split through map, so that no task's text stays bound while its rows
+    # are yielded
+    for b, lines in enumerate(map(str.splitlines, texts)):
+        b0, b1 = b * _TILE, min(n, (b + 1) * _TILE)
+        for i in range(b1, n):
+            left[i].append(lines[i - b0])
+        for i in range(b0, b1):
+            row, pieces, left[i] = lines[i - b0], left[i], None
+            if pieces:
+                row = "[[" + "],[".join(pieces) + "]," + row[1:]
+            yield row
 
 
 def _write_json(path, payload):
-    """Write payload as compact JSON with sorted keys.
-
-    _json takes the C encoder (json.dump never does).  An ndarray
-    value of a dict payload, a square complex matrix, is written one row
-    at a time as nested [re, im] pairs (see _rows), so it is never held
-    as one string.  It is taken out of payload as it is written, so that
-    _rows may hold the matrix's last reference.
-    """
+    """Write payload as compact JSON with sorted keys (see _json)."""
     with open(path, "w") as fh:
-        if not isinstance(payload, dict):
-            fh.write(_json(payload))
-        else:
-            fh.write("{")
-            for i, key in enumerate(sorted(payload)):
-                fh.write(("," if i else "") + _json(key) + ":")
-                if isinstance(payload[key], np.ndarray):
-                    fh.write("[")
-                    for j, row in enumerate(_rows(payload.pop(key))):
-                        fh.write(("," if j else "") + row)
-                    fh.write("]")
-                else:
-                    fh.write(_json(payload[key]))
-            fh.write("}")
-        fh.write("\n")
+        fh.write(_json(payload) + "\n")
 
 
 def _scenario_hash(scenario, seed):
@@ -280,10 +238,16 @@ def cmd_choi(args):
         "t": args.time,
         "min_eigenvalue": min_eig,
         "completely_positive": bool(min_eig >= TOL.psd_floor),
-        "choi": choi,
     }
+    rows = _rows(choi)
     del choi    # the writer frees it once its workers hold copies
-    _write_json(os.path.join(args.out, "choi.json"), payload)
+    # as _write_json would write payload with the matrix under "choi", the
+    # first key, but one row at a time, never holding the text as a whole
+    with open(os.path.join(args.out, "choi.json"), "w") as fh:
+        fh.write('{"choi":[')
+        for j, row in enumerate(rows):
+            fh.write(("," if j else "") + row)
+        fh.write("]," + _json(payload)[1:] + "\n")
     return 0
 
 

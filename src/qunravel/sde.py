@@ -15,18 +15,18 @@ every reducer (the projector sum behind ``rho_hat`` and any the caller
 names), whose chunk sums are added in chunk order, so neither the (batch,
 steps, N) increments nor the (batch, R, d) states are ever held.
 
-With ``threads`` > 1 and more than one batch, the batches run in worker
-processes started by ``fork`` (at most ``threads`` of them, each holding its
-own batch in memory), which return their per-chunk sums, drifts and final
-states to the caller; ``threads=1``, a single batch, a platform without
-``fork`` or a daemonic process runs every batch in the calling process and
-starts none.  Calling with ``threads`` > 1 from a process that runs threads
-of its own carries the usual ``fork`` caveats: only the calling thread
-exists in the workers.
+With ``threads`` > 1 and more than one batch, ``_fork_map`` (which also
+runs the CLI's ``choi.json`` tasks) runs the batches in at most ``threads``
+worker processes started by ``fork``, each holding its own batch in memory
+and returning its per-chunk sums, drifts and final states; ``threads=1``, a
+single batch, a platform without ``fork`` or a daemonic process runs every
+batch in the calling process and starts none.  Calling with ``threads`` > 1
+from a process that runs threads of its own carries the usual ``fork``
+caveats: only the calling thread exists in the workers.
 """
 
-import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,11 +176,11 @@ class _Increments:
 
 def _simulate(u, psi0, cfg, start, count, record_steps, dW=None,
               on_record=None):
-    """Run trajectories [start, start+count) through the kernel, on their
-    Philox streams unless dW is given; returns the kernel's tuple."""
+    """Run trajectories [start, start+count) to the last record step, on
+    their Philox streams unless dW is given; returns the kernel's tuple."""
     if dW is None:
-        dW = _Increments(cfg.seed, start, count, cfg.n_steps, u.noise_count,
-                         cfg.dt)
+        dW = _Increments(cfg.seed, start, count, int(record_steps[-1]),
+                         u.noise_count, cfg.dt)
     return kernels.simulate_chunk(psi0, u.K, u.rotated, cfg.dt, dW,
                                   cfg.renormalize, record_steps,
                                   fault=u.fault, on_record=on_record)
@@ -246,7 +246,8 @@ def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks):
 
         dW = None
         if dW_chunks is not None:
-            dW = np.concatenate([dW_chunks[c] for c in range(c0, c1)])
+            dW = np.concatenate([dW_chunks[c][:, :record_steps[-1]]
+                                 for c in range(c0, c1)])
         _, drifts, drift_means, status = _simulate(
             u, psi0, cfg, lo, hi - lo, record_steps, dW, on_record)
         return sums, lo + np.nonzero(status)[0], drifts, drift_means, finals
@@ -254,34 +255,42 @@ def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks):
     return run
 
 
-_worker_job = None      # the batch function a forked worker was started with
+_job = None     # the job _fork_map's workers run, set while they fork
+_forking = threading.Lock()     # one caller at a time sets _job and forks
 
 
-def _install_job(job):
-    global _worker_job
-    _worker_job = job
+def _run_forked(item):
+    return _job(item)
 
 
-def _run_job(batch):
-    return _worker_job(batch)
+def _fork_map(job, items, workers):
+    """Iterate over job(item) for each of items, in order: lazily in this
+    process for fewer than two workers, where the platform cannot fork, or
+    in a daemonic process, which may start none; otherwise in `workers`
+    processes forked with the job in ``_job``.  Fork hands the job over by
+    copying the caller's memory: nothing is pickled but items and results,
+    and nothing re-imports the caller's ``__main__``.  ``_job`` is cleared
+    once every worker is forked, so this process then holds no reference
+    to the job.  A worker that dies breaks the pool, which raises."""
+    global _job
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _fork_pool(job, workers):
-    """A pool of `workers` processes forked with `job` installed, or None
-    where the platform cannot fork or this process, being a daemonic
-    worker itself, may start none.  Fork hands the job over by copying the
-    caller's memory: nothing is pickled but batch bounds and results, and
-    nothing re-imports the caller's ``__main__``.  A worker that dies
-    breaks the pool, which raises rather than waits."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_install_job, initargs=(job,))
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                with _forking:
+                    _job, job = job, None
+                    try:
+                        results = pool.map(_run_forked, items)  # forks all
+                    finally:
+                        _job = None
+                yield from results
+            return
+    yield from map(job, items)
 
 
 def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
@@ -305,7 +314,8 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     dW_chunks optionally supplies pregenerated increments per chunk (used by
     the step-size consistency checks to couple runs across dt levels);
     record_steps overrides the stride grid from cfg; it must be strictly
-    increasing within [1, cfg.n_steps].
+    increasing within [1, cfg.n_steps], and no trajectory steps past its
+    last step, so norm_drift and norm_drift_mean cover only those steps.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
@@ -354,20 +364,17 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     totals = {name: np.zeros((R,) + probe.shape, probe.dtype)
               for name, (_, probe) in reducers.items()}
     blown = []
-    pool = _fork_pool(job, workers) if workers > 1 else None
-    with pool or contextlib.nullcontext():
-        results = pool.map(_run_job, batches) if pool else map(job, batches)
-        # batch order, then chunk order within each, whatever the worker count
-        for (c0, c1), result in zip(batches, results):
-            sums, bad, drift, drift_mean, final = result
-            for name, total in totals.items():
-                for partial in sums[name]:
-                    total += partial
-            blown.extend(bad)
-            lo, hi = edges[c0], edges[c1]
-            drifts[lo:hi] = drift
-            drift_means[lo:hi] = drift_mean
-            finals[lo:hi] = final
+    # batch order, then chunk order within each, whatever the worker count
+    for result, (c0, c1) in zip(_fork_map(job, batches, workers), batches):
+        sums, bad, drift, drift_mean, final = result
+        for name, total in totals.items():
+            for partial in sums[name]:
+                total += partial
+        blown.extend(bad)
+        lo, hi = edges[c0], edges[c1]
+        drifts[lo:hi] = drift
+        drift_means[lo:hi] = drift_mean
+        finals[lo:hi] = final
     if blown:
         raise NormBlowupError(blown)
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests running the entry point in-process."""
 
+import concurrent.futures
 import importlib.resources
 import json
 import tracemalloc
@@ -8,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qunravel import cli, lindblad, sde
+from qunravel import cli, lindblad
 from qunravel.hilbert import SIGMA_Z
 from qunravel.scenario import complex_to_pairs, pairs_to_complex, parse_scenario
 
@@ -454,17 +455,17 @@ def writer_matrix(kind, n):
 
 def fork_pools(monkeypatch, cpus):
     """Give this process `cpus` CPUs; returns the worker count of every
-    pool sde._fork_pool then starts."""
+    process pool then started."""
     monkeypatch.setattr(cli.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
     started = []
-    fork_pool = sde._fork_pool
+    pool_class = concurrent.futures.ProcessPoolExecutor
 
-    def spy(job, workers):
-        started.append(workers)
-        return fork_pool(job, workers)
+    def spy(max_workers, **kwargs):
+        started.append(max_workers)
+        return pool_class(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(sde, "_fork_pool", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     return started
 
 

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
@@ -319,6 +320,38 @@ def test_one_thread_or_one_batch_starts_no_process(monkeypatch):
         simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2, chunk_size=8)
 
 
+def test_callers_on_many_threads_each_fork_their_own_job():
+    # _fork_map hands a pool its job through one module global, so four
+    # threads forking pools at once, with a short switch interval, must
+    # each get their own model's bits
+    models = [Unraveling(random_model(np.random.default_rng(k), 2, n_ops=1),
+                         "standard") for k in range(4)]
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=3)
+    serial = [simulate_ensemble(u, PLUS, cfg, 64, chunk_size=8).rho_hat
+              for u in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            forked = [None] * len(models)
+
+            def run(k):
+                forked[k] = simulate_ensemble(models[k], PLUS, cfg, 64,
+                                              threads=2, chunk_size=8).rho_hat
+
+            callers = [threading.Thread(target=run, args=(k,))
+                       for k in range(len(models))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+            assert not any(caller.is_alive() for caller in callers)
+            for a, b in zip(forked, serial):
+                assert a is not None and a.tobytes() == b.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _final_states_at_two_threads():
     cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
     return simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2,
@@ -333,14 +366,51 @@ def test_a_daemonic_worker_runs_its_batches_in_process():
     assert np.array_equal(inside, _final_states_at_two_threads())
 
 
-def test_import_does_not_load_multiprocessing():
-    # the worker pool imports multiprocessing on first use, not at import
+def test_import_does_not_load_multiprocessing(tmp_path):
+    # the worker pool imports multiprocessing on first use, not at import,
+    # and a one-worker simulate or a one-tile choi never uses it
     src = os.path.dirname(os.path.dirname(sde.__file__))
-    code = ("import sys, qunravel; "
-            "sys.exit('multiprocessing' in sys.modules)")
+    data = os.path.join(src, "qunravel", "data", "dephasing.json")
+    code = ("import sys, qunravel\n"
+            "from qunravel import cli\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            f"assert cli.main(['simulate', '--scenario', {data!r}, "
+            f"'--out', {str(tmp_path)!r}, '--threads', '1']) == 0\n"
+            f"assert cli.main(['choi', '--scenario', {data!r}, "
+            f"'--out', {str(tmp_path)!r}]) == 0\n"
+            "sys.exit('multiprocessing' in sys.modules\n"
+            "         or 'concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=120).returncode == 0
+    assert (tmp_path / "rho.csv").exists()
+    assert (tmp_path / "choi.json").exists()
+
+
+@pytest.mark.parametrize("given_dW", [False, True])
+def test_trajectories_stop_at_the_last_record_step(monkeypatch, given_dW):
+    # a run of 1000 steps recorded only at step 250 steps 250 times, with
+    # the bits of a run that ends there, on drawn and on given increments
+    long = IntegrationConfig(dt=1e-3, t_final=1.0, seed=8)
+    short = IntegrationConfig(dt=1e-3, t_final=0.25, seed=8)
+    dW = np.random.default_rng(3).normal(0.0, np.sqrt(long.dt),
+                                         size=(64, long.n_steps, 1))
+    steps = []
+    kernel = kernels.simulate_chunk
+
+    def counting(psi0, K, rotated, dt, dW, *args, **kwargs):
+        steps.append(np.shape(dW)[1])
+        return kernel(psi0, K, rotated, dt, dW, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "simulate_chunk", counting)
+    runs = []
+    for cfg in (long, short):
+        chunks = ([dW[:32, :cfg.n_steps], dW[32:, :cfg.n_steps]] if given_dW
+                  else None)
+        runs.append(simulate_ensemble(DEPHASING, PLUS, cfg, 64, chunk_size=32,
+                                      dW_chunks=chunks, record_steps=[250]))
+    assert steps == [250, 250]
+    assert runs[0].rho_hat.tobytes() == runs[1].rho_hat.tobytes()
 
 
 @pytest.mark.parametrize("steps, noise_count", [(300, 2), (128, 1), (5, 3)])

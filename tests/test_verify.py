@@ -4,6 +4,7 @@ and the suite runner."""
 import hashlib
 import importlib.resources
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,6 +221,27 @@ def test_check_ensemble_vs_exact_makes_one_oracle_call(monkeypatch):
     assert len(calls) == 1
     assert np.array_equal(calls[0], np.array([125, 250, 500]) * 1e-3)
     assert list(report.measured["trace_distances"]) == ["0.125", "0.25", "0.5"]
+
+
+def test_checkpoints_equal_to_six_digits_are_each_checked(monkeypatch):
+    # 1.000001 and 1.000002 print alike with "%g"; the ensemble is exact at
+    # the later one and a whole state off at the earlier one
+    def ensemble(u, psi0, cfg, n, threads, record_steps):
+        rho0 = np.outer(psi0, psi0.conj())
+        exact = verify.lindblad.propagate_exact(u.model, rho0,
+                                                record_steps * cfg.dt)
+        exact[0] = np.diag([1.0, 0.0])
+        return SimpleNamespace(rho_hat=exact)
+
+    monkeypatch.setattr(verify.sde, "simulate_ensemble", ensemble)
+    cfg = IntegrationConfig(dt=1e-6, t_final=1.000002, seed=4)
+    report = check_ensemble_vs_exact(DEPHASING, "standard", PLUS, cfg,
+                                     10 ** 6, [1.000001, 1.000002])
+    distances = report.measured["trace_distances"]
+    assert list(distances) == ["1.000001", "1.000002"]
+    assert distances["1.000001"] > 0.4 > report.tolerance
+    assert report.measured["max_distance"] == distances["1.000001"]
+    assert not report.passed
 
 
 def test_check_ensemble_vs_exact_rejects_off_grid_checkpoint():
