@@ -10,12 +10,11 @@ from .hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, expectation, outer,
                       trace_distance)
 from .lindblad import (GKSForm, LindbladModel, choi_matrix, gks_to_lindblad,
                        lindblad_rhs, liouvillian, propagate_exact)
-from .observables import (born_statistics, diffusion_matrix,
-                          projective_collapse, variance, variance_drift)
-from .sde import (EnsembleEstimate, IntegrationConfig, Trajectory,
-                  simulate_ensemble, simulate_trajectory)
+from .observables import (born_statistics, diffusion_matrix, variance,
+                          variance_drift)
+from .sde import EnsembleEstimate, IntegrationConfig, simulate_ensemble
 from .unraveling import (UnitaryFreedom, Unraveling, diffusion_vectors,
-                         drift_vector, parse_freedom)
+                         parse_freedom)
 
 __version__ = "0.1.0"
 
@@ -23,8 +22,7 @@ __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "dagger", "expectation", "outer",
     "trace_distance", "GKSForm", "LindbladModel", "choi_matrix",
     "gks_to_lindblad", "lindblad_rhs", "liouvillian", "propagate_exact",
-    "born_statistics", "diffusion_matrix", "projective_collapse", "variance",
-    "variance_drift", "EnsembleEstimate", "IntegrationConfig", "Trajectory",
-    "simulate_ensemble", "simulate_trajectory", "UnitaryFreedom",
-    "Unraveling", "diffusion_vectors", "drift_vector", "parse_freedom",
+    "born_statistics", "diffusion_matrix", "variance", "variance_drift",
+    "EnsembleEstimate", "IntegrationConfig", "simulate_ensemble",
+    "UnitaryFreedom", "Unraveling", "diffusion_vectors", "parse_freedom",
 ]

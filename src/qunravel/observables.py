@@ -1,6 +1,6 @@
 """Derived quantities: collapse variance and its drift law, the real-coordinate
-Fokker-Planck diffusion matrix at a point, Born-statistics classification of
-trajectory ensembles, and the projective collapse map.
+Fokker-Planck diffusion matrix at a point, and Born-statistics
+classification of trajectory ensembles.
 """
 
 from dataclasses import dataclass
@@ -152,35 +152,3 @@ def born_statistics(final_states, L, tol=TOL.classify, psi0=None):
     return BornReport(outcomes=values, frequencies=freqs, predicted=predicted,
                       counts=counts, unclassified=unclassified,
                       n_total=n_total, std_errors=errors)
-
-
-def projective_collapse(psi, projectors, weights):
-    """The collapse map T: sum_n p_n P_n |psi><psi| P_n / ||P_n psi||^2.
-
-    Requires a complete orthogonal projector family and nonnegative weights
-    summing to one; terms with ||P_n psi||^2 < 1e-14 are skipped.  With Born
-    weights p_n = ||P_n psi||^2 the map is the unique ensemble-linear choice.
-    """
-    psi = hilbert.as_state(psi)
-    d = psi.size
-    projectors = [hilbert.as_operator(P, dim=d) for P in projectors]
-    total = sum(projectors)
-    if np.max(np.abs(total - np.eye(d))) > TOL.hermitian:
-        raise ValueError("projectors must sum to the identity")
-    for a, P in enumerate(projectors):
-        for b, Q in enumerate(projectors):
-            expect = P if a == b else np.zeros((d, d))
-            if np.max(np.abs(P @ Q - expect)) > TOL.hermitian:
-                raise ValueError(f"projectors {a},{b} not orthogonal")
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < -TOL.trace_one) or abs(weights.sum() - 1.0) > TOL.trace_one:
-        raise ValueError("weights must be nonnegative and sum to one")
-    out = np.zeros((d, d), dtype=complex)
-    for p, P in zip(weights, projectors):
-        Ppsi = P @ psi
-        n2 = float(np.real(np.vdot(Ppsi, Ppsi)))
-        if n2 < 1e-14:
-            continue
-        out += p * np.outer(Ppsi, np.conj(Ppsi)) / n2
-    return out
-

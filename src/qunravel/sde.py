@@ -33,7 +33,6 @@ import numpy as np
 
 from . import hilbert, kernels
 from .tolerances import TOL
-from .unraveling import Unraveling
 
 _DEFAULT_CHUNK = 256
 # bytes a batch of more than one chunk may hold: its states, one step block
@@ -98,15 +97,6 @@ class IntegrationConfig:
 
     def record_times(self):
         return self.record_steps() * self.dt
-
-
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray          # (len(times), d), unit norm when renormalizing
-    norm_drift_max: float       # max |  ||psi'||^2 - 1 | before renormalization
-    norm_drift_mean: float      # mean per-step deviation (scales as O(dt))
-    seed: int
 
 
 @dataclass
@@ -184,25 +174,6 @@ def _simulate(u, psi0, cfg, start, count, record_steps, dW=None,
     return kernels.simulate_chunk(psi0, u.K, u.rotated, cfg.dt, dW,
                                   cfg.renormalize, record_steps,
                                   fault=u.fault, on_record=on_record)
-
-
-def simulate_trajectory(u, psi0, cfg, trajectory_index=0):
-    """Integrate one trajectory; records every record_stride-th step plus t=0."""
-    if not isinstance(u, Unraveling):
-        raise TypeError("u must be an Unraveling")
-    psi0 = hilbert.as_state(psi0, dim=u.dim)
-    if not hilbert.is_normalized(psi0):
-        raise ValueError("psi0 must be normalized")
-    record_steps = cfg.record_steps()
-    states, drift_max, drift_mean, status = _simulate(
-        u, psi0, cfg, trajectory_index, 1, record_steps)
-    if status[0]:
-        raise NormBlowupError(trajectory_index)
-    times = np.concatenate(([0.0], record_steps * cfg.dt))
-    all_states = np.vstack(([psi0], states[0]))
-    return Trajectory(times=times, states=all_states,
-                      norm_drift_max=float(drift_max[0]),
-                      norm_drift_mean=float(drift_mean[0]), seed=cfg.seed)
 
 
 def _batch_layout(n_chunks, chunk_bytes, threads):

@@ -159,15 +159,6 @@ def diffusion_vectors(u, psi):
     return list(_drift_diffusion(u, psi)[2])
 
 
-def drift_vector(u, psi):
-    """A(psi) psi in the zero gauge.
-
-    The first drift term uses the unrotated sum L_k^dag L_k (invariant under
-    the unitary mixing); the cross term uses the rotated operators.
-    """
-    return _drift_diffusion(u, psi)[1]
-
-
 def generator_term(u, psi):
     """|A><psi| + |psi><A| + sum_k |B_k><B_k| at a unit state.
 

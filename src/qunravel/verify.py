@@ -10,6 +10,7 @@ as a clean one; a harness in which a fault still passes is itself broken.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -198,41 +199,70 @@ def _checkpoint_steps(checkpoints, cfg):
     return np.asarray(sorted(set(steps)), dtype=np.int64)
 
 
-def check_ensemble_vs_exact(model, freedom, psi0, cfg, n_trajectories,
-                            checkpoints, threads=1):
-    """Trace distance between the Monte Carlo ensemble and the exact state
-    exp(t L) rho0 at every checkpoint (one oracle call for all of them)."""
+def _monte_carlo(name, model, unravelings, psi0, cfg, n_trajectories, times,
+                 threads, **config):
+    """The one Monte Carlo comparison: each unraveling's ensemble against
+    exp(t L) rho0 (one oracle call for every time) and against each other
+    ensemble, at every time.
+
+    Member i runs at seed cfg.seed + 7919 i, so the ensembles are
+    independent draws; a faulty member skips renormalization, so that drift
+    faults stay visible.  The check passes when every distance to the exact
+    state is at most tol = statistical_tolerance(M, dt, d) and every
+    pairwise distance at most 2 tol.  Its measured dict holds only
+    ``"vacuous": true``, when the loosest bound it applies (2 tol with
+    pairs, else tol) is at least 1, which no two density matrices exceed.
+    config adds the check's own fields to those hashed here.  Returns the
+    report, the times, each member's distances to the exact states and each
+    pair's distances, keyed "i-j".
+    """
     t0 = time.perf_counter()
-    u = Unraveling(model, freedom)
-    steps = _checkpoint_steps(checkpoints, cfg)
-    est = sde.simulate_ensemble(u, psi0, cfg, n_trajectories, threads=threads,
-                                record_steps=steps)
-    rho0 = hilbert.outer(psi0, psi0)
-    tol = statistical_tolerance(n_trajectories, cfg.dt, u.dim)
+    steps = _checkpoint_steps(times, cfg)
     times = steps * cfg.dt
-    exact = lindblad.propagate_exact(model, rho0, times)
-    distances = [hilbert.trace_distance(rho, rho_exact)
-                 for rho, rho_exact in zip(est.rho_hat, exact)]
-    passed = all(v <= tol for v in distances)
-    measured = {"trace_distances": {_label(t): v
-                                    for t, v in zip(times, distances)},
-                "max_distance": max(distances),
-                "n_trajectories": n_trajectories}
-    if tol >= 1:        # no two density matrices are further apart than 1
-        measured["vacuous"] = True
-    return VerificationReport(
-        name="ensemble-vs-exact",
+    rhos = []
+    for i, u in enumerate(unravelings):
+        cfg_i = replace(cfg, seed=(cfg.seed + 7919 * i) % 2 ** 64,
+                        renormalize=cfg.renormalize and u.fault is None)
+        rhos.append(sde.simulate_ensemble(u, psi0, cfg_i, n_trajectories,
+                                          threads=threads,
+                                          record_steps=steps).rho_hat)
+    exact = lindblad.propagate_exact(model, hilbert.outer(psi0, psi0), times)
+    vs_exact = [[hilbert.trace_distance(r, e) for r, e in zip(rho, exact)]
+                for rho in rhos]
+    pairwise = {f"{i}-{j}": [hilbert.trace_distance(a, b)
+                             for a, b in zip(rhos[i], rhos[j])]
+                for i, j in itertools.combinations(range(len(rhos)), 2)}
+    tol = statistical_tolerance(n_trajectories, cfg.dt, model.dim)
+    passed = (all(v <= tol for row in vs_exact for v in row)
+              and all(v <= 2 * tol for row in pairwise.values() for v in row))
+    loosest = 2 * tol if pairwise else tol
+    report = VerificationReport(
+        name=name,
         passed=passed,
-        measured=measured,
+        measured={"vacuous": True} if loosest >= 1 else {},
         tolerance=tol,
         seconds=time.perf_counter() - t0,
         config_hash=config_hash({
-            "check": "ensemble-vs-exact", "model": _model_config(model),
-            "freedom": _freedom_config(u.freedom),
+            "check": name, "model": _model_config(model),
             "psi0": complex_to_pairs(psi0), "integration": asdict(cfg),
-            "n_trajectories": n_trajectories,
-            "checkpoints": list(checkpoints)}),
+            "n_trajectories": n_trajectories, **config}),
     )
+    return report, times, vs_exact, pairwise
+
+
+def check_ensemble_vs_exact(model, freedom, psi0, cfg, n_trajectories,
+                            checkpoints, threads=1):
+    """Trace distance between the Monte Carlo ensemble and the exact state
+    exp(t L) rho0 at every checkpoint."""
+    u = Unraveling(model, freedom)
+    report, times, (distances,), _ = _monte_carlo(
+        "ensemble-vs-exact", model, [u], psi0, cfg, n_trajectories,
+        checkpoints, threads, freedom=_freedom_config(u.freedom),
+        checkpoints=list(checkpoints))
+    report.measured.update(
+        trace_distances={_label(t): v for t, v in zip(times, distances)},
+        max_distance=max(distances), n_trajectories=n_trajectories)
+    return report
 
 
 def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
@@ -243,7 +273,6 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
     faults, when given, is a per-freedom list of injector names (or None);
     fault runs skip renormalization so that drift faults stay visible.
     """
-    t0 = time.perf_counter()
     if len(freedoms) < 2 and faults is None:
         raise ValueError("need at least two freedoms to compare")
     if faults is None:
@@ -253,43 +282,16 @@ def check_unraveling_equivalence(model, freedoms, psi0, cfg, n_trajectories,
                          f"freedoms")
     unravelings = [Unraveling(model, f, fault=x)
                    for f, x in zip(freedoms, faults)]
-    steps = _checkpoint_steps([t], cfg)
-    rhos = []
-    for i, u in enumerate(unravelings):
-        # distinct sub-seed per entry so ensembles are independent draws
-        cfg_i = replace(cfg, seed=(cfg.seed + 7919 * i) % 2 ** 64)
-        if u.fault is not None:
-            cfg_i = replace(cfg_i, renormalize=False)
-        est = sde.simulate_ensemble(u, psi0, cfg_i, n_trajectories,
-                                    threads=threads, record_steps=steps)
-        rhos.append(est.rho_hat[-1])
-    tol = statistical_tolerance(n_trajectories, cfg.dt, model.dim)
-    exact = lindblad.propagate_exact(model, hilbert.outer(psi0, psi0), t)
-    pairwise = {}
-    for i in range(len(rhos)):
-        for j in range(i + 1, len(rhos)):
-            pairwise[f"{i}-{j}"] = hilbert.trace_distance(rhos[i], rhos[j])
-    vs_exact = {str(i): hilbert.trace_distance(r, exact)
-                for i, r in enumerate(rhos)}
-    passed = (all(v <= 2 * tol for v in pairwise.values())
-              and all(v <= tol for v in vs_exact.values()))
-    measured = {"pairwise": pairwise, "vs_exact": vs_exact, "faults": faults,
-                "t": t}
-    if 2 * tol >= 1:    # the pairwise bound cannot be exceeded
-        measured["vacuous"] = True
-    return VerificationReport(
-        name="unraveling-equivalence",
-        passed=passed,
-        measured=measured,
-        tolerance=tol,
-        seconds=time.perf_counter() - t0,
-        config_hash=config_hash({
-            "check": "unraveling-equivalence", "model": _model_config(model),
-            "freedoms": [_freedom_config(u.freedom) for u in unravelings],
-            "faults": faults, "psi0": complex_to_pairs(psi0),
-            "integration": asdict(cfg),
-            "n_trajectories": n_trajectories, "t": t}),
-    )
+    report, _, vs_exact, pairwise = _monte_carlo(
+        "unraveling-equivalence", model, unravelings, psi0, cfg,
+        n_trajectories, [t], threads,
+        freedoms=[_freedom_config(u.freedom) for u in unravelings],
+        faults=faults, t=t)
+    report.measured.update(
+        pairwise={pair: v for pair, (v,) in pairwise.items()},
+        vs_exact={str(i): v for i, (v,) in enumerate(vs_exact)},
+        faults=faults, t=t)
+    return report
 
 
 # ---------------------------------------------------------------------------

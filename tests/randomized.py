@@ -34,6 +34,15 @@ def random_model(rng, d, n_ops=None):
             return LindbladModel(H, ops)
 
 
+def scaled_model(rng, d, scale=1.0):
+    """random_model with H and each operator of unit spectral norm, so that
+    the generator's norm does not grow with d, then the operators times
+    scale."""
+    m = random_model(rng, d, n_ops=2)
+    unit = [A / np.linalg.norm(A, 2) for A in (m.hamiltonian,) + m.lindblad_ops]
+    return LindbladModel(unit[0], tuple(scale * L for L in unit[1:]))
+
+
 def random_freedom(rng, n_ops):
     kind = int(rng.integers(0, 3))
     if kind == 0:

@@ -8,9 +8,9 @@ from qunravel import kernels, verify
 from qunravel.hilbert import SIGMA_Z
 from qunravel.kernels import simulate_chunk
 from qunravel.lindblad import LindbladModel
-from qunravel.unraveling import Unraveling
+from qunravel.unraveling import UnitaryFreedom, Unraveling
 
-from randomized import random_hermitian
+from randomized import random_hermitian, random_model, random_unitary
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -43,14 +43,26 @@ def reference_step(psi, K, rotated, dt, dw, renormalize, fault=None):
     return new
 
 
-@pytest.mark.parametrize("fault, renormalize", [
-    pytest.param(None, False, id="False"),
-    pytest.param(None, True, id="True"),
-    pytest.param("drop_ell2", False, id="drop_ell2-False"),
-    pytest.param("zero_ell_in_B", False, id="zero_ell_in_B-False"),
+def mixed_inputs(batch=8, steps=50, dt=1e-2, seed=0):
+    """d = 3, two random operators mixed into three noise channels by a
+    random unitary: every channel has its own increment and operator."""
+    rng = np.random.default_rng(seed)
+    u = Unraveling(random_model(rng, 3, n_ops=2),
+                   UnitaryFreedom(matrix=random_unitary(rng, 3)))
+    dW = rng.normal(0.0, np.sqrt(dt), size=(batch, steps, 3))
+    return verify.random_state(rng, 3), u.K, u.rotated, dt, dW
+
+
+@pytest.mark.parametrize("inputs, fault, renormalize", [
+    pytest.param(dephasing_inputs, None, False, id="False"),
+    pytest.param(dephasing_inputs, None, True, id="True"),
+    pytest.param(dephasing_inputs, "drop_ell2", False, id="drop_ell2-False"),
+    pytest.param(dephasing_inputs, "zero_ell_in_B", False,
+                 id="zero_ell_in_B-False"),
+    pytest.param(mixed_inputs, None, True, id="mixed-d3-True"),
 ])
-def test_numpy_kernel_matches_reference_loop(fault, renormalize):
-    psi0, K, rotated, dt, dW = dephasing_inputs(batch=3, steps=20)
+def test_numpy_kernel_matches_reference_loop(inputs, fault, renormalize):
+    psi0, K, rotated, dt, dW = inputs(batch=3, steps=20)
     record = np.arange(1, 21, dtype=np.int64)
     states, drift_max, drift_mean, status = simulate_chunk(
         psi0, K, rotated, dt, dW, renormalize, record, fault=fault)

@@ -19,7 +19,8 @@ from qunravel.lindblad import (GKSForm, LindbladModel, choi_matrix,
                                gks_to_lindblad, lindblad_rhs,
                                liouvillian, propagate_exact)
 
-from randomized import random_hermitian, random_model, random_unitary
+from randomized import (random_hermitian, random_model, random_unitary,
+                        scaled_model)
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -547,15 +548,6 @@ def test_choi_gather_holds_no_block_of_the_propagator_size():
 
 # ---------------------------------------------------------------------------
 # the numpy oracle against scipy, which only the tests import
-
-def scaled_model(rng, d, scale=1.0):
-    """random_model with H and each operator of unit spectral norm, so that
-    the generator's norm does not grow with d, then the operators times
-    scale."""
-    m = random_model(rng, d, n_ops=2)
-    unit = [A / np.linalg.norm(A, 2) for A in (m.hamiltonian,) + m.lindblad_ops]
-    return LindbladModel(unit[0], tuple(scale * L for L in unit[1:]))
-
 
 def relative_error(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))

@@ -1,22 +1,16 @@
-"""Tests for variance, diffusion matrices, Born statistics, collapse map."""
+"""Tests for variance, diffusion matrices and Born statistics."""
 
 import numpy as np
 import pytest
 
-from qunravel.hilbert import SIGMA_Z, normalize, outer
+from qunravel.hilbert import SIGMA_Z, normalize
 from qunravel.lindblad import LindbladModel
 from qunravel.observables import (born_statistics, diffusion_matrix,
-                                  projective_collapse, spectral_sectors,
-                                  variance, variance_drift)
+                                  spectral_sectors, variance, variance_drift)
 from qunravel.unraveling import UnitaryFreedom, Unraveling
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-
-
-def born_weights(psi, projectors):
-    """p_n = ||P_n psi||^2."""
-    return np.array([float(np.real(np.vdot(psi, P @ psi))) for P in projectors])
 
 
 def test_variance_oracle_values():
@@ -154,35 +148,3 @@ def test_born_statistics_rejects_too_close_sectors():
     with pytest.raises(ValueError, match="sectors"):
         born_statistics(np.array([[1.0, 0.0]]), L, tol=1e-3)
 
-
-def test_projective_collapse_with_born_weights():
-    projs = [np.diag([1.0, 0.0]).astype(complex),
-             np.diag([0.0, 1.0]).astype(complex)]
-    psi = normalize([np.sqrt(0.3), np.sqrt(0.7)])
-    p = born_weights(psi, projs)
-    assert p == pytest.approx([0.3, 0.7])
-    rho = projective_collapse(psi, projs, p)
-    assert np.allclose(rho, np.diag([0.3, 0.7]))
-    # collapse map with Born weights equals sum_n P rho P
-    raw = outer(psi, psi)
-    assert np.allclose(rho, sum(P @ raw @ P for P in projs))
-
-
-def test_projective_collapse_validation():
-    psi = PLUS
-    good = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    with pytest.raises(ValueError, match="identity"):
-        projective_collapse(psi, [np.diag([1.0, 0.0])], [1.0])
-    with pytest.raises(ValueError, match="orthogonal"):
-        projective_collapse(psi, [np.eye(2) / 2, np.eye(2) / 2], [0.5, 0.5])
-    with pytest.raises(ValueError, match="weights"):
-        projective_collapse(psi, good, [0.9, 0.4])
-    with pytest.raises(ValueError, match="weights"):
-        projective_collapse(psi, good, [-0.2, 1.2])
-
-
-def test_projective_collapse_skips_null_sectors():
-    psi = np.array([1.0, 0.0])
-    projs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    rho = projective_collapse(psi, projs, [1.0, 0.0])
-    assert np.allclose(rho, np.diag([1.0, 0.0]))

@@ -16,10 +16,10 @@ from qunravel import kernels, sde, verify
 from qunravel.hilbert import SIGMA_Z
 from qunravel.lindblad import LindbladModel
 from qunravel.sde import (IntegrationConfig, NormBlowupError, simulate_ensemble,
-                          simulate_trajectory, trajectory_rng)
-from qunravel.unraveling import Unraveling
+                          trajectory_rng)
+from qunravel.unraveling import UnitaryFreedom, Unraveling
 
-from randomized import random_model
+from randomized import random_model, scaled_model
 
 DEPHASING = Unraveling(LindbladModel(np.zeros((2, 2)), (SIGMA_Z,)), "standard")
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -120,25 +120,6 @@ def test_step_matches_manual_euler_update():
     # manual update at |+>: ell = 0, K = -I/2
     raw = PLUS - 0.5 * dt * PLUS + dw * (SIGMA_Z @ PLUS)
     assert np.allclose(states[0, 0], raw / np.linalg.norm(raw), atol=1e-14)
-
-
-def test_simulate_trajectory_records_initial_state():
-    cfg = IntegrationConfig(dt=1e-3, t_final=0.1, seed=5, record_stride=20)
-    traj = simulate_trajectory(DEPHASING, PLUS, cfg)
-    assert traj.times[0] == 0.0
-    assert np.allclose(traj.states[0], PLUS)
-    assert traj.times[-1] == pytest.approx(0.1)
-    norms = np.sum(np.abs(traj.states) ** 2, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-9)
-    assert 0.0 < traj.norm_drift_mean <= traj.norm_drift_max
-
-
-def test_simulate_trajectory_rejects_unnormalized_input():
-    cfg = IntegrationConfig(dt=1e-3, t_final=0.01)
-    with pytest.raises(ValueError, match="normalized"):
-        simulate_trajectory(DEPHASING, np.array([1.0, 1.0]), cfg)
-    with pytest.raises(TypeError):
-        simulate_trajectory(DEPHASING.model, PLUS, cfg)
 
 
 def test_ensemble_is_thread_count_invariant():
@@ -456,8 +437,8 @@ def test_a_one_trajectory_batch_is_thread_count_invariant():
             for threads in (1, 3)]
     assert ensemble_bytes(runs[1]) == ensemble_bytes(runs[0])
     # and a lone trajectory takes the bits of its row in the ensemble
-    lone = simulate_trajectory(DEPHASING, psi0, cfg, trajectory_index=256)
-    assert lone.states[-1].tobytes() == runs[0].final_states[256].tobytes()
+    lone = sde._simulate(DEPHASING, psi0, cfg, 256, 1, cfg.record_steps())[0]
+    assert lone[0, -1].tobytes() == runs[0].final_states[256].tobytes()
 
 
 def test_given_increments_are_thread_count_invariant():
@@ -474,6 +455,29 @@ def test_given_increments_are_thread_count_invariant():
             for threads in (1, 2, 4)]
     for run in runs[1:]:
         assert ensemble_bytes(run) == ensemble_bytes(runs[0])
+
+
+def test_a_real_orthogonal_member_is_the_standard_one_on_rotated_noise():
+    # member O has B'_k = sum_j O_kj B_j and, O being real orthogonal, the
+    # standard drift, so on increments dW it steps as the standard member
+    # does on dW @ O; O is not symmetric, so dW @ O.T drives another path
+    c, s = np.cos(0.6), np.sin(0.6)
+    O = np.array([[c, -s], [s, c]])
+    rng = np.random.default_rng(21)
+    model = scaled_model(rng, 3)
+    psi0 = verify.random_state(rng, 3)
+    cfg = IntegrationConfig(dt=1e-3, t_final=1.0, seed=2)
+    n = 200
+    dW = rng.normal(0.0, np.sqrt(cfg.dt), size=(n, cfg.n_steps, 2))
+
+    def final_states(freedom, increments):
+        return simulate_ensemble(Unraveling(model, freedom), psi0, cfg, n,
+                                 chunk_size=n,
+                                 dW_chunks=[increments]).final_states
+
+    mixed = final_states(UnitaryFreedom(matrix=O.astype(complex)), dW)
+    assert np.abs(mixed - final_states("standard", dW @ O)).max() < 1e-12
+    assert np.abs(mixed - final_states("standard", dW @ O.T)).max() > 0.1
 
 
 def test_ensemble_memory_does_not_grow_with_steps():

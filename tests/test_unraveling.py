@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qunravel import hilbert, lindblad
+from qunravel import hilbert, kernels, lindblad
 from qunravel.hilbert import SIGMA_X, SIGMA_Z, dagger, normalize
 from qunravel.lindblad import LindbladModel
 from qunravel.scenario import complex_to_pairs
 from qunravel.unraveling import (DIOSI_COMPLEX_U, UnitaryFreedom, Unraveling,
-                                 diffusion_vectors, drift_vector,
-                                 generator_term, parse_freedom, standard_freedom)
+                                 diffusion_vectors, generator_term,
+                                 parse_freedom, standard_freedom)
 
 from randomized import random_model, random_unitary
 
@@ -98,7 +98,8 @@ def test_dephasing_drift_and_diffusion_oracle():
     # [DERIVED] at psi = |+>: ell = <sz> = 0, so A psi = -psi/2 and B = sz psi
     u = Unraveling(DEPHASING, "standard")
     assert ell(PLUS, u.rotated[0]) == pytest.approx(0.0)
-    assert np.allclose(drift_vector(u, PLUS), -0.5 * PLUS)
+    A, _ = kernels.drift_diffusion(PLUS[:, None], u.K, u.rotated)
+    assert np.allclose(A[:, 0], -0.5 * PLUS)
     (B,) = diffusion_vectors(u, PLUS)
     assert np.allclose(B, np.array([1.0, -1.0]) / np.sqrt(2.0))
 

@@ -446,15 +446,21 @@ def test_ensemble_vs_exact_flags_a_bound_no_distance_can_exceed(trajectories,
     assert r.measured.get("vacuous") is (True if vacuous else None)
 
 
-@pytest.mark.parametrize("trajectories, vacuous", [(100, True), (400, False)])
+@pytest.mark.parametrize("trajectories, vacuous, freedoms", [
+    pytest.param(100, True, ["standard", "diosi-complex"], id="100-True"),
+    pytest.param(400, False, ["standard", "diosi-complex"], id="400-False"),
+    pytest.param(100, False, ["standard"], id="one-member-100-False"),
+])
 def test_equivalence_flags_a_pairwise_bound_no_distance_can_exceed(
-        trajectories, vacuous):
+        trajectories, vacuous, freedoms):
     # tol = 6 / sqrt(M) + 0.05: 0.65 for M = 100, whose pairwise bound 2 tol
-    # is above 1, and 0.35 for M = 400
+    # is above 1, and 0.35 for M = 400; one member has no pairwise bound,
+    # and its distance to the exact state can exceed 0.65
     cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=3)
-    r = check_unraveling_equivalence(DEPHASING, ["standard", "diosi-complex"],
-                                     PLUS, cfg, trajectories, 0.1)
-    assert r.tolerance < 1 and (2 * r.tolerance >= 1) == vacuous
+    r = check_unraveling_equivalence(DEPHASING, freedoms, PLUS, cfg,
+                                     trajectories, 0.1,
+                                     faults=[None] * len(freedoms))
+    assert r.tolerance < 1
     assert r.measured.get("vacuous") is (True if vacuous else None)
 
 
@@ -474,10 +480,20 @@ def test_the_d32_oracle_entry_is_vacuous_and_the_bundled_suite_is_not(
     report, = run_suite({"checks": [entry]})
     assert report.tolerance == pytest.approx(8.49, abs=5e-3)
     assert report.to_dict()["measured"]["vacuous"] is True
+    assert report.config_hash == (
+        "e53ed93cef99c454b3c056de45c1016f4771b2a2d29c24c3e0aafddab66d2dc9")
     ref = importlib.resources.files("qunravel") / "data" / "default_suite.json"
     reports = run_suite(json.loads(ref.read_text()))
     assert suite_ok(reports)
     assert not [r.name for r in reports if "vacuous" in r.measured]
+    # every bundled entry's configuration hashes as it always has
+    assert [r.config_hash for r in reports] == [
+        "695b694a8566ec32d8098f347cc8f44a2be2de989b79e13f257cbf4514721aa6",
+        "6d96eeadf21af57c489b7aae6331b71d5b1e1a8601f802383508aeb5e6df174e",
+        "dd339926c383f36a39708b2fd530d38fd348dd9a1d29e13151920852659fa7c6",
+        "5777bbb962ce061112af4548192f90e9ca0ad189599c4bfdf834d688cfb77a8d",
+        "0e8c0274f04e423e4f9445807487a93c683df0eb7b87cb349e3cde022176abb3",
+        "f71645cf58dbd071b0a334aea9eeef5957ac3b04141a94b2562b2ad3d0dbf6f9"]
 
 
 def test_run_suite_rejects_unknown_check():
