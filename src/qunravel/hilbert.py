@@ -49,8 +49,8 @@ def hermiticity_defect(M):
     return float(np.max(np.abs(M - dagger(M)))) if M.size else 0.0
 
 
-def is_hermitian(M, tol=TOL.hermitian):
-    return hermiticity_defect(M) <= tol
+def is_hermitian(M):
+    return hermiticity_defect(M) <= TOL.hermitian
 
 
 def norm2(psi):
@@ -58,8 +58,8 @@ def norm2(psi):
     return float(np.real(np.vdot(psi, psi)))
 
 
-def is_normalized(psi, tol=TOL.unit_norm):
-    return abs(norm2(psi) - 1.0) <= tol
+def is_normalized(psi):
+    return abs(norm2(psi) - 1.0) <= TOL.unit_norm
 
 
 def normalize(psi):
@@ -91,29 +91,15 @@ def trace_distance(rho, sigma):
     return 0.5 * float(np.sum(s))
 
 
-def check_linear_independence(ops, include_identity=False, rtol=TOL.independence):
-    """True iff the vectorized operators (optionally with the identity
-    prepended) are linearly independent.
-
-    Independence is judged on the Gram matrix of the vectorized operators:
-    its minimum eigenvalue must exceed rtol times its maximum eigenvalue.
-    """
+def check_linear_independence(ops):
+    """True iff the identity and the vectorized operators are linearly
+    independent: the minimum eigenvalue of their Gram matrix must exceed
+    TOL.independence times its maximum eigenvalue."""
     ops = [as_operator(M) for M in ops]
-    if not ops and not include_identity:
+    if not ops:
         return True
-    d = ops[0].shape[0] if ops else None
-    vecs = []
-    if include_identity:
-        if d is None:
-            return True
-        vecs.append(np.eye(d, dtype=complex).ravel())
-    for M in ops:
-        M = as_operator(M, dim=d)
-        d = M.shape[0]
-        vecs.append(M.ravel())
-    V = np.array(vecs)
-    gram = V @ np.conj(V).T
-    w = np.linalg.eigvalsh(gram)
-    if w[-1] <= 0.0:
-        return False
-    return bool(w[0] > rtol * w[-1])
+    d = ops[0].shape[0]
+    V = np.array([np.eye(d, dtype=complex).ravel()]
+                 + [as_operator(M, dim=d).ravel() for M in ops])
+    w = np.linalg.eigvalsh(V @ np.conj(V).T)
+    return bool(w[0] > TOL.independence * w[-1])

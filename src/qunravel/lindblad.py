@@ -38,7 +38,7 @@ class LindbladModel:
             raise ValueError(
                 f"H not Hermitian: max defect {hilbert.hermiticity_defect(H):.3e}")
         ops = tuple(hilbert.as_operator(L, dim=H.shape[0]) for L in self.lindblad_ops)
-        if ops and not hilbert.check_linear_independence(ops, include_identity=True):
+        if not hilbert.check_linear_independence(ops):
             raise ValueError("{1, L_1, ..., L_n} must be linearly independent")
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "lindblad_ops", ops)
@@ -133,31 +133,14 @@ def _dissipator(L, rho):
     return L @ rho @ Ldag - 0.5 * (Ldag_L @ rho + rho @ Ldag_L)
 
 
-def _rates(model, rates):
-    """rates as one real, finite float per Lindblad operator (default all
-    ones); anything else is an input error, never silently truncated."""
-    if rates is None:
-        return np.ones(model.n_ops)
-    r = np.asarray(rates)
-    if r.ndim != 1 or r.size != model.n_ops:
-        raise ValueError(f"rates must be 1-D with one rate per operator: got "
-                         f"shape {r.shape} for {model.n_ops} operators")
-    if r.dtype.kind not in "iuf" or not np.all(np.isfinite(r)):
-        raise ValueError(f"rates must be real and finite, got {r}")
-    return r.astype(float)
-
-
-def lindblad_rhs(model, rho, rates=None):
-    """Right-hand side -i[H, rho] + sum_k c_k D[L_k](rho).
-
-    rates defaults to all ones; negative rates are allowed so non-CP
-    generators can be represented and then flagged.
-    """
+def lindblad_rhs(model, rho):
+    """Right-hand side -i[H, rho] + sum_k D[L_k](rho), written out term by
+    term: the reference the generator identity is checked against."""
     H = model.hamiltonian
     rho = hilbert.as_operator(rho, dim=H.shape[0])
     out = -1j * (H @ rho - rho @ H)
-    for c, L in zip(_rates(model, rates), model.lindblad_ops):
-        out = out + c * _dissipator(L, rho)
+    for L in model.lindblad_ops:
+        out = out + _dissipator(L, rho)
     return out
 
 
@@ -183,17 +166,10 @@ def _generator(H, A, B):
     return M
 
 
-def _liouvillian_matrix(H, ops, rates):
-    d = H.shape[0]
-    ops = np.asarray(ops, dtype=complex).reshape(-1, d, d)
-    jumps = np.asarray(rates).reshape(-1, 1, 1) * ops
-    return _generator(H, ops, jumps).reshape(d * d, d * d)
-
-
-def liouvillian(model, rates=None):
+def liouvillian(model):
     """d^2 x d^2 matrix form of the generator on column-major vec(rho)."""
-    return _liouvillian_matrix(model.hamiltonian, model.lindblad_ops,
-                               _rates(model, rates))
+    ops = model.lindblad_ops
+    return _generator(model.hamiltonian, ops, ops).reshape(model.dim ** 2, -1)
 
 
 def gks_liouvillian(g):
@@ -259,7 +235,7 @@ _THETA = dict(zip([*range(1, 31), 35, 40, 45, 50, 55], (
     3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9)))
 
 
-def propagate_exact(model, rho0, t, rates=None):
+def propagate_exact(model, rho0, t):
     """exp(t L) applied to rho0: the bias-free oracle against which Monte
     Carlo ensembles are judged; no ODE stepping is involved.
 
@@ -276,22 +252,21 @@ def propagate_exact(model, rho0, t, rates=None):
                          f"{times.shape}")
     if not np.all((times >= 0) & (times < np.inf)):
         raise ValueError("t must be finite and nonnegative")
-    rates = _rates(model, rates)
     d = model.dim
     rho = hilbert.as_operator(rho0, dim=d)
     L = np.asarray(model.lindblad_ops, dtype=complex).reshape(-1, d, d)
     Ldag = L.conj().swapaxes(1, 2)
-    G = -1j * model.hamiltonian - 0.5 * np.tensordot(rates, Ldag @ L, 1)
+    G = -1j * model.hamiltonian - 0.5 * (Ldag @ L).sum(axis=0)
     mu = (2 * d * np.trace(G).real
-          + rates @ np.abs(np.trace(L, axis1=1, axis2=2)) ** 2) / d ** 2
+          + np.sum(np.abs(np.trace(L, axis1=1, axis2=2)) ** 2)) / d ** 2
     G[np.diag_indices(d)] -= 0.5 * mu
-    # ||L - mu|| <= 2 ||G - mu/2|| + sum_k |c_k| ||L_k||^2, spectral norms
+    # ||L - mu|| <= 2 ||G - mu/2|| + sum_k ||L_k||^2, spectral norms
     bound = (2 * np.linalg.norm(G, 2)
-             + np.abs(rates) @ np.linalg.norm(L, 2, axis=(1, 2)) ** 2)
-    half = 0.5 * rates[:, None, None, None] * L[:, None]
+             + np.sum(np.linalg.norm(L, 2, axis=(1, 2)) ** 2))
+    half = 0.5 * L[:, None]
 
     def shifted(X):
-        # Hermitian X: (L - mu)X = Y + Y^dag, Y = GX + sum c_k L_k X L_k^dag/2
+        # Hermitian X: (L - mu)X = Y + Y^dag, Y = GX + sum_k L_k X L_k^dag/2
         Y = G @ X + (half @ X @ Ldag[:, None]).sum(axis=0)
         return Y + Y.conj().swapaxes(1, 2)
 
@@ -417,14 +392,13 @@ def _choi_of(R, d):
     return choi
 
 
-def choi_matrix(model, t, rates=None):
+def choi_matrix(model, t):
     """Choi matrix of exp(t L): block (i, j) is the image of |i><j|, read off
     the propagator by reshuffling its indices.
 
     Hermitian with trace d; positive semidefinite iff the channel is CP.
     """
-    rates = _rates(model, rates)
-    return _choi(t, model.dim, lambda: liouvillian(model, rates=rates))
+    return _choi(t, model.dim, lambda: liouvillian(model))
 
 
 def gks_choi_matrix(g, t):

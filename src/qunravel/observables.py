@@ -52,22 +52,10 @@ def _real_coords(vec):
     return np.concatenate([np.real(vec), np.imag(vec)])
 
 
-@dataclass
-class DiffusionMatrix:
-    """2d x 2d real symmetric PSD matrix over (coordinate, {Re, Im}) indices.
-
-    Layout: index i in [0, d) is Re(psi_i), index d + i is Im(psi_i).
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0] // 2
-
-
 def diffusion_matrix(u, psi):
-    """D = sum_k b_k b_k^T with b_k the real-coordinate image of B_k(psi).
+    """D = sum_k b_k b_k^T with b_k the real-coordinate image of B_k(psi),
+    as a (2d, 2d) real symmetric PSD array: index i in [0, d) is Re(psi_i),
+    index d + i is Im(psi_i).
 
     Invariant under u -> o u for real orthogonal o; genuinely complex
     mixings can change it.
@@ -77,15 +65,15 @@ def diffusion_matrix(u, psi):
     for B in diffusion_vectors(u, psi):
         b = _real_coords(B)
         D += np.outer(b, b)
-    return DiffusionMatrix(matrix=D)
+    return D
 
 
-def spectral_sectors(L, gap=TOL.spectral_gap):
+def spectral_sectors(L):
     """Eigenvalue sectors of a Hermitian operator.
 
-    Eigenvalues within `gap` of each other share a sector (collapse selects
-    eigenspaces, not basis vectors, under degeneracy).  Returns
-    (sector eigenvalues, projectors).
+    Eigenvalues within TOL.spectral_gap of each other share a sector
+    (collapse selects eigenspaces, not basis vectors, under degeneracy).
+    Returns (sector eigenvalues, projectors).
     """
     L = hilbert.as_operator(L)
     if not hilbert.is_hermitian(L):
@@ -97,7 +85,7 @@ def spectral_sectors(L, gap=TOL.spectral_gap):
     d = L.shape[0]
     while i < d:
         j = i
-        while j + 1 < d and w[j + 1] - w[j] <= gap:
+        while j + 1 < d and w[j + 1] - w[j] <= TOL.spectral_gap:
             j += 1
         P = np.zeros((d, d), dtype=complex)
         for k in range(i, j + 1):

@@ -130,6 +130,14 @@ def _numbers(values, name):
     return [_number(value, f"{name}[{i}]") for i, value in enumerate(values)]
 
 
+def _matrices(values, name):
+    """A JSON list of complex matrices; any other value is rejected, not
+    iterated into misleading errors."""
+    if not isinstance(values, list):
+        raise ScenarioError(f"{name}: must be a list, got {values!r}")
+    return [pairs_to_complex(v, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
 def _integration(raw):
     """The integration block: dt and t_final numbers, seed a non-negative
     integer, renormalize a boolean and record_stride a positive integer."""
@@ -167,13 +175,11 @@ def scenario_from_dict(data, extra=()):
     defect = hilbert.hermiticity_defect(H)
     if defect > TOL.hermitian:
         raise ScenarioError(f"hamiltonian: not Hermitian, max violation {defect:.3e}")
-    ops = []
-    for i, raw in enumerate(data.get("lindblad_ops", [])):
-        L = pairs_to_complex(raw, f"lindblad_ops[{i}]")
+    ops = _matrices(data.get("lindblad_ops", []), "lindblad_ops")
+    for i, L in enumerate(ops):
         if L.shape != (dim, dim):
             raise ScenarioError(
                 f"lindblad_ops[{i}]: shape {L.shape}, expected ({dim}, {dim})")
-        ops.append(L)
 
     freedom_spec = data.get("freedom", "standard")
     if not isinstance(freedom_spec, str):
@@ -200,9 +206,7 @@ def scenario_from_dict(data, extra=()):
     if "gks" in data:
         raw = data["gks"]
         _known(raw, ("hamiltonian", "kossakowski", "basis"), "gks")
-        basis = tuple(
-            pairs_to_complex(F, f"gks.basis[{i}]")
-            for i, F in enumerate(raw.get("basis", [])))
+        basis = tuple(_matrices(raw.get("basis", []), "gks.basis"))
         try:
             gks = GKSForm(
                 hamiltonian=pairs_to_complex(_require(raw, "hamiltonian"),

@@ -26,6 +26,7 @@ caveats: only the calling thread exists in the workers.
 """
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -80,8 +81,12 @@ class IntegrationConfig:
                              f"dt={self.dt}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be positive")
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+        # a float or bool seed runs an integer's stream under another hash
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= int(self.seed) < 2 ** 64):
+            raise ValueError(f"seed must fit in 64 unsigned bits as an "
+                             f"integer, got {self.seed!r}")
 
     @property
     def n_steps(self):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 class Tolerances:
     hermitian: float = 1e-12          # max entrywise |M - M^dag|
     unit_norm: float = 1e-9           # |norm^2 - 1| for a normalized state
-    trace_one: float = 1e-12          # |tr(rho) - 1|
     psd_floor: float = -1e-10         # minimum eigenvalue allowed for rho / Choi
     unitary: float = 1e-12            # max entrywise |u^dag u - 1|
     independence: float = 1e-10       # relative Gram-eigenvalue cutoff

@@ -125,8 +125,7 @@ def generator_deviation(u, psi):
     return float(np.max(np.abs(generator_term(u, psi) - rhs)))
 
 
-def check_generator_identity(model, freedom, samples=100, seed=0, fault=None,
-                             tolerance=TOL.generator_match):
+def check_generator_identity(model, freedom, samples=100, seed=0, fault=None):
     """Non-statistical check of the generator identity at random unit states."""
     t0 = time.perf_counter()
     u = Unraveling(model, freedom, fault=fault)
@@ -136,10 +135,10 @@ def check_generator_identity(model, freedom, samples=100, seed=0, fault=None,
         worst = max(worst, generator_deviation(u, random_state(rng, u.dim)))
     return VerificationReport(
         name="generator-identity",
-        passed=worst <= tolerance,
+        passed=worst <= TOL.generator_match,
         measured={"max_deviation": worst, "samples": samples,
                   "fault": fault},
-        tolerance=tolerance,
+        tolerance=TOL.generator_match,
         seconds=time.perf_counter() - t0,
         config_hash=config_hash({
             "check": "generator-identity", "model": _model_config(model),
@@ -148,10 +147,10 @@ def check_generator_identity(model, freedom, samples=100, seed=0, fault=None,
     )
 
 
-def check_complete_positivity(gks, times, tolerance=1e-10):
-    """Diagonalize the Kossakowski matrix; CP generators must give PSD Choi
-    matrices at all times, while any negative rate must show up as a
-    negative Choi eigenvalue at the smallest time."""
+def check_complete_positivity(gks, times):
+    """Diagonalize the Kossakowski matrix; a CP generator's Choi matrices
+    have no eigenvalue below TOL.psd_floor at any time, while a negative
+    rate must show up as a negative Choi eigenvalue at the smallest time."""
     if not len(times):
         raise ValueError("times must not be empty")
     t0 = time.perf_counter()
@@ -162,7 +161,7 @@ def check_complete_positivity(gks, times, tolerance=1e-10):
         choi = lindblad.gks_choi_matrix(gks, t)
         eigs[t] = float(np.linalg.eigvalsh(choi)[0])
     if min_rate >= TOL.psd_floor:
-        passed = all(v >= -tolerance for v in eigs.values())
+        passed = all(v >= TOL.psd_floor for v in eigs.values())
     else:
         passed = eigs[min(times)] < -1e-6
     return VerificationReport(
@@ -171,7 +170,7 @@ def check_complete_positivity(gks, times, tolerance=1e-10):
         measured={"rates": rates, "min_rate": min_rate,
                   "choi_min_eig": {_label(t): v for t, v in eigs.items()},
                   "cp_expected": bool(min_rate >= TOL.psd_floor)},
-        tolerance=tolerance,
+        tolerance=-TOL.psd_floor,
         seconds=time.perf_counter() - t0,
         config_hash=config_hash({
             "check": "complete-positivity",

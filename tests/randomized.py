@@ -30,15 +30,15 @@ def random_model(rng, d, n_ops=None):
         ops = tuple(
             rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             for _ in range(n_ops))
-        if hilbert.check_linear_independence(ops, include_identity=True):
+        if hilbert.check_linear_independence(ops):
             return LindbladModel(H, ops)
 
 
-def scaled_model(rng, d, scale=1.0):
+def scaled_model(rng, d, scale=1.0, n_ops=2):
     """random_model with H and each operator of unit spectral norm, so that
     the generator's norm does not grow with d, then the operators times
     scale."""
-    m = random_model(rng, d, n_ops=2)
+    m = random_model(rng, d, n_ops=n_ops)
     unit = [A / np.linalg.norm(A, 2) for A in (m.hamiltonian,) + m.lindblad_ops]
     return LindbladModel(unit[0], tuple(scale * L for L in unit[1:]))
 

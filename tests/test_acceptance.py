@@ -198,10 +198,11 @@ def test_criterion_07_gks_round_trip():
         H = random_hermitian(rng, d)
         H = H - np.trace(H) * np.eye(d) / d
         g = GKSForm(H, 0.5 * (C + np.conj(C).T))
-        rates, ops = lindblad.gks_to_lindblad(g)
-        rebuilt = lindblad._liouvillian_matrix(g.hamiltonian, ops, rates)
+        rates, ops = map(np.asarray, lindblad.gks_to_lindblad(g))
+        rebuilt = lindblad._generator(g.hamiltonian, ops,
+                                      rates[:, None, None] * ops)
         worst = max(worst, float(np.max(np.abs(
-            rebuilt - lindblad.gks_liouvillian(g)))))
+            rebuilt.reshape(d * d, d * d) - lindblad.gks_liouvillian(g)))))
     report(7, "gks-round-trip", worst <= 1e-10,
            f"max superoperator deviation {worst:.3e} (tol 1e-10) "
            f"over 50 random Hermitian inputs")
@@ -221,16 +222,16 @@ def test_criterion_08_diffusion_matrix_invariance():
         u1 = Unraveling(model, UnitaryFreedom(matrix=base))
         u2 = Unraveling(model, UnitaryFreedom(matrix=o @ base))
         psi = verify.random_state(rng, d)
-        gap = np.max(np.abs(observables.diffusion_matrix(u1, psi).matrix
-                            - observables.diffusion_matrix(u2, psi).matrix))
+        gap = np.max(np.abs(observables.diffusion_matrix(u1, psi)
+                            - observables.diffusion_matrix(u2, psi)))
         worst = max(worst, float(gap))
     # existence part: u = iI on Hermitian L rotates the noise into the
     # imaginary direction and changes the diffusion matrix
     u_std = Unraveling(DEPHASING, "standard")
     u_img = Unraveling(DEPHASING, "linear-potential")
     complex_gap = float(np.max(np.abs(
-        observables.diffusion_matrix(u_std, PLUS).matrix
-        - observables.diffusion_matrix(u_img, PLUS).matrix)))
+        observables.diffusion_matrix(u_std, PLUS)
+        - observables.diffusion_matrix(u_img, PLUS))))
     passed = worst <= 1e-12 and complex_gap > 1e-3
     report(8, "diffusion-invariance", passed,
            f"orthogonal max gap {worst:.3e} (tol 1e-12, 100 draws); "

@@ -674,6 +674,25 @@ def test_an_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, data,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "diagonalize", "choi",
+                                     "verify"])
+@pytest.mark.parametrize("data, message", [
+    (small_scenario(lindblad_ops=5), "lindblad_ops: must be a list, got 5"),
+    (small_scenario(gks=dict(gks_block(), basis=5)),
+     "gks.basis: must be a list, got 5"),
+], ids=["lindblad_ops", "gks.basis"])
+def test_a_matrix_list_that_is_not_a_list_exits_2(tmp_path, capsys, command,
+                                                  data, message):
+    if command == "verify":
+        data = {"checks": [dict(data, check="complete-positivity")]}
+        message = f"check 'complete-positivity': {message}"
+    scn = write(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_misspelt_trajectory_count_cannot_pass_a_fault(tmp_path, capsys):
     # the bundled drop_ell2 entry with its count misspelt would run one
     # trajectory, whose tolerance 3 d + 5 dt no trace distance can exceed;

@@ -1,16 +1,20 @@
 """Tests for the stepping kernel: the reference step with and without
-faults, recording, blow-up."""
+faults, recording, blow-up, and the one-step quadrature mean."""
+
+import itertools
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
-from qunravel import kernels, verify
+from qunravel import kernels, lindblad, verify
 from qunravel.hilbert import SIGMA_Z
 from qunravel.kernels import simulate_chunk
 from qunravel.lindblad import LindbladModel
 from qunravel.unraveling import UnitaryFreedom, Unraveling
 
-from randomized import random_hermitian, random_model, random_unitary
+from randomized import (random_hermitian, random_model, random_unitary,
+                        scaled_model)
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -209,3 +213,59 @@ def test_renormalized_states_have_unit_norm():
     assert not status.any()
     norms = np.sum(np.abs(states[:, 0]) ** 2, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Hermite quadrature of one step: the weak-error oracle without noise
+
+def quadrature_mean(u, psi, dt, q=24):
+    """The expectation of the kernel's one-step psi' psi'^dag, and the
+    largest | ||psi'|| - 1 |, by the q^N-node tensor-product Gauss-Hermite
+    rule: node x, scaled by sqrt(dt), is the increment of each channel.
+
+    With renormalization the step is not a polynomial in dW, hence q = 24.
+    """
+    x, w = hermegauss(q)
+    N = u.rotated.shape[0]
+    dW = np.sqrt(dt) * np.array(list(itertools.product(x, repeat=N)))
+    weights = np.prod(list(itertools.product(w / w.sum(), repeat=N)), axis=1)
+    states, _, _, status = simulate_chunk(psi, u.K, u.rotated, dt,
+                                          dW[:, None, :], True,
+                                          np.array([1], dtype=np.int64))
+    assert not status.any()
+    out = states[:, 0]
+    mean = np.einsum("r,ri,rj->ij", weights, out, out.conj())
+    return mean, np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))
+
+
+DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
+# the member of each quadrature case, built with the test's generator
+QUADRATURE_MEMBERS = {
+    "standard": lambda rng: Unraveling(DEPHASING, "standard"),
+    "diosi-complex": lambda rng: Unraveling(DEPHASING, "diosi-complex"),
+    "phase:0.7": lambda rng: Unraveling(DEPHASING, "phase:0.7"),
+    "d3-n2-N3": lambda rng: Unraveling(
+        scaled_model(rng, 3, n_ops=2),
+        UnitaryFreedom(matrix=random_unitary(rng, 3))),
+    "d32-N1": lambda rng: Unraveling(scaled_model(rng, 32, n_ops=1)),
+}
+
+
+@pytest.mark.parametrize("member", QUADRATURE_MEMBERS)
+def test_one_step_quadrature_mean_has_local_error_of_order_dt2(member):
+    # Every member shares the Lindblad mean, so from a generic state the
+    # quadrature mean of one Euler-Maruyama step differs from exp(dt L) P
+    # only at O(dt^2): the error falls about 4x per halving of dt.  A
+    # defect that costs the step its weak order, such as a channel driven
+    # by another channel's increment, leaves an O(dt) error that halves.
+    rng = np.random.default_rng(31)
+    u = QUADRATURE_MEMBERS[member](rng)
+    psi = verify.random_state(rng, u.dim)
+    P = np.outer(psi, psi.conj())
+    errors = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        mean, norm_error = quadrature_mean(u, psi, dt)
+        assert norm_error <= 1e-12
+        exact = lindblad.propagate_exact(u.model, P, dt)
+        errors.append(np.max(np.abs(mean - exact)))
+    assert errors[0] >= 3 * errors[1] and errors[1] >= 3 * errors[2], errors

@@ -48,12 +48,11 @@ def test_variance_drift_phase_family():
 def test_diffusion_matrix_is_psd_and_correct_shape():
     u = Unraveling(DEPHASING, "standard")
     D = diffusion_matrix(u, PLUS)
-    assert D.matrix.shape == (4, 4)
-    assert D.dim == 2
-    assert np.allclose(D.matrix, D.matrix.T)
-    assert np.linalg.eigvalsh(D.matrix)[0] >= -1e-14
+    assert D.shape == (4, 4)
+    assert np.allclose(D, D.T)
+    assert np.linalg.eigvalsh(D)[0] >= -1e-14
     # standard unraveling at a real state: purely real diffusion directions
-    assert np.allclose(D.matrix[2:, 2:], 0.0)
+    assert np.allclose(D[2:, 2:], 0.0)
 
 
 def test_diffusion_matrix_real_orthogonal_invariance():
@@ -64,15 +63,15 @@ def test_diffusion_matrix_real_orthogonal_invariance():
     u2 = Unraveling(DEPHASING,
                     UnitaryFreedom(matrix=o @ u1.freedom.as_matrix()))
     psi = normalize(rng.normal(size=2) + 1j * rng.normal(size=2))
-    assert np.allclose(diffusion_matrix(u1, psi).matrix,
-                       diffusion_matrix(u2, psi).matrix, atol=1e-13)
+    assert np.allclose(diffusion_matrix(u1, psi), diffusion_matrix(u2, psi),
+                       atol=1e-13)
 
 
 def test_diffusion_matrix_complex_phase_changes_it():
     u_std = Unraveling(DEPHASING, "standard")
     u_lin = Unraveling(DEPHASING, "linear-potential")
-    gap = np.max(np.abs(diffusion_matrix(u_std, PLUS).matrix
-                        - diffusion_matrix(u_lin, PLUS).matrix))
+    gap = np.max(np.abs(diffusion_matrix(u_std, PLUS)
+                        - diffusion_matrix(u_lin, PLUS)))
     assert gap > 1e-3
 
 

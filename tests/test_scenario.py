@@ -5,7 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qunravel.lindblad import gell_mann_basis
 from qunravel.scenario import (Scenario, ScenarioError, complex_to_pairs,
                                pairs_to_complex, parse_scenario,
                                scenario_from_dict)
@@ -325,3 +328,64 @@ def test_bundled_suite_is_well_formed():
     assert {"generator-identity", "ensemble-vs-exact",
             "unraveling-equivalence", "complete-positivity"} <= kinds
     assert any(entry.get("expect") == "fail" for entry in suite["checks"])
+
+
+def bundled_dephasing():
+    ref = importlib.resources.files("qunravel") / "data" / "dephasing.json"
+    return json.loads(ref.read_text())
+
+
+def gks_scenario():
+    zero = complex_to_pairs(np.zeros((2, 2)))
+    return {"dim": 2, "hamiltonian": zero, "lindblad_ops": [],
+            "gks": {"hamiltonian": zero,
+                    "kossakowski": complex_to_pairs(np.diag([1.0, 0.5, 0.25])),
+                    "basis": [complex_to_pairs(F) for F in gell_mann_basis(2)]}}
+
+
+def key_paths(data):
+    """Every key of data, and every key of an object nested in it."""
+    for key, value in data.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub in value)
+
+
+REPLACEABLE = [(build, path) for build in (bundled_dephasing, gks_scenario)
+               for path in key_paths(build())]
+WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=12), st.sampled_from(["phase:0.7", "unitary:5", "[]"]),
+    st.just([]), st.just({}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REPLACEABLE), WRONG_VALUES)
+def test_a_replaced_key_parses_or_raises_a_scenario_error(where, value):
+    # an uncaught exception would make the CLI exit 1, the code it keeps
+    # for a failed verification, instead of 2 with the key named
+    build, path = where
+    data = build()
+    block = data
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    try:
+        scenario_from_dict(data)
+    except ScenarioError:
+        pass
+
+
+@pytest.mark.parametrize("where, value", [
+    ("lindblad_ops", 5), ("lindblad_ops", {"0": MINIMAL["lindblad_ops"][0]}),
+    ("lindblad_ops", None), ("gks.basis", 5), ("gks.basis", "F")],
+    ids=["lindblad_ops-5", "lindblad_ops-object", "lindblad_ops-null",
+         "gks.basis-5", "gks.basis-string"])
+def test_a_matrix_list_that_is_not_a_list_is_named(where, value):
+    data = gks_scenario()
+    if where == "gks.basis":
+        data["gks"]["basis"] = value
+    else:
+        data[where] = value
+    with pytest.raises(ScenarioError, match=f"^{where}: must be a list, got "):
+        scenario_from_dict(data)

@@ -62,6 +62,20 @@ def test_integration_config_validation():
     assert cfg.n_steps == 10
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.9, 1.0, True, "1", np.float64(1.0)],
+                         ids=["1.5", "1.9", "1.0", "True", "str", "float64"])
+def test_a_seed_that_is_not_an_integer_is_rejected(seed):
+    # each would run seed 1's Philox stream under a config hash that records
+    # another value
+    with pytest.raises(ValueError, match="as an integer, got"):
+        IntegrationConfig(dt=0.1, t_final=1.0, seed=seed)
+
+
+def test_numpy_integer_seeds_are_accepted():
+    for seed in (np.int64(7), np.uint64(7), np.uint8(7)):
+        assert IntegrationConfig(dt=0.1, t_final=1.0, seed=seed).seed == 7
+
+
 def test_record_steps_always_include_final():
     cfg = IntegrationConfig(dt=0.1, t_final=1.0, record_stride=3)
     assert cfg.record_steps().tolist() == [3, 6, 9, 10]

@@ -210,9 +210,9 @@ def test_check_ensemble_vs_exact_makes_one_oracle_call(monkeypatch):
     calls = []
     original = verify.lindblad.propagate_exact
 
-    def counting(model, rho0, t, rates=None):
+    def counting(model, rho0, t):
         calls.append(np.array(t, dtype=float))
-        return original(model, rho0, t, rates=rates)
+        return original(model, rho0, t)
 
     monkeypatch.setattr(verify.lindblad, "propagate_exact", counting)
     cfg = IntegrationConfig(dt=1e-3, t_final=0.5, seed=4)
