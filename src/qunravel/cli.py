@@ -31,16 +31,14 @@ _json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                          check_circular=False).encode
 
 
-def _fmt(x):
-    return _FMT % float(x)
-
-
 def _write_csv(path, header_fields, columns, rows):
+    # one % per row, of a line format that repeats _FMT once per column
+    line = ",".join([_FMT] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write("# " + " ".join(f"{k}={v}" for k, v in header_fields) + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(line % tuple(row)
+                      for row in np.asarray(rows, dtype=float).tolist())
 
 
 def _conjugated_entries(text):

@@ -37,7 +37,10 @@ and so not on the thread count: the products K psi and L_k psi are the same
 (batch, d) @ (d, d) BLAS call, transposed afterwards (:func:`_apply`); a sum
 over d is a column sum, which adds each column in one fixed order whatever
 the width.  Every row takes the same step, blown up or not, so a blow-up
-changes no other row's bits.
+changes no other row's bits.  ``on_record`` is handed this layout itself, a
+read-only (d, batch) view with no copy made, so that a reduction over the
+batch reads each component contiguously; each step makes a new state array,
+so a view kept past its step still holds that step's states.
 """
 
 import numpy as np
@@ -117,8 +120,10 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
     renormalize : bool
     record_steps : (R,) int, strictly increasing 1-based step counts
     fault : None or one of :data:`FAULTS`, see :func:`drift_diffusion`
-    on_record : None or a callable ``on_record(r, psi)`` given the (batch, d)
-        states at record step r; when set, no states are stored
+    on_record : None or a callable ``on_record(r, psi)`` given the states
+        at record step r as a read-only (d, batch) view, column b holding
+        trajectory b: the kernel's own component-major layout, not copied;
+        when set, no states are stored
 
     Returns
     -------
@@ -139,7 +144,7 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
         states = np.zeros((batch, R, d), dtype=np.complex128)
 
         def on_record(r, psi):
-            states[:, r, :] = psi
+            states[:, r, :] = psi.T
     # numpy hands a one-row product to gemv, whose bits differ from a row of
     # gemm's; a lone trajectory is stepped beside a noiseless copy instead
     width = max(batch, 2)
@@ -178,8 +183,10 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
                 psi = new
                 if rec < R and s0 + j + 1 == record_steps[rec]:
                     # the hook keeps the caller's floating-point warnings
+                    view = psi[:, :batch]
+                    view.flags.writeable = False
                     with np.errstate(**caller_errors):
-                        on_record(rec, np.ascontiguousarray(psi[:, :batch].T))
+                        on_record(rec, view)
                     rec += 1
     # an infinite norm at any step left an infinite drift_max
     status = ~(above & (drift_max < np.inf))

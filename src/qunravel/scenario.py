@@ -195,7 +195,7 @@ def scenario_from_dict(data, extra=()):
         if psi0.shape != (dim,):
             raise ScenarioError(f"psi0: shape {psi0.shape}, expected ({dim},)")
         dev = abs(hilbert.norm2(psi0) - 1.0)
-        if dev > TOL.unit_norm:
+        if not dev <= TOL.unit_norm:    # NaN fails too
             raise ScenarioError(f"psi0: not normalized, |norm^2 - 1| = {dev:.3e}")
 
     integration = None
@@ -218,14 +218,19 @@ def scenario_from_dict(data, extra=()):
         except ValueError as exc:
             raise ScenarioError(f"gks: {exc}") from None
 
+    variance_phases = _numbers(data.get("variance_phases", []),
+                               "variance_phases")
+    for i, f in enumerate(variance_phases):
+        if not np.isfinite(f):
+            raise ScenarioError(f"variance_phases[{i}]: must be finite, "
+                                f"got {f}")
+
     scenario = Scenario(
         dim=dim, hamiltonian=H, lindblad_ops=ops, freedom_spec=freedom_spec,
         psi0=psi0, integration=integration,
         trajectories=_integer(data.get("trajectories", 1), "trajectories"),
         checkpoints=_numbers(data.get("checkpoints", []), "checkpoints"),
-        gks=gks,
-        variance_phases=_numbers(data.get("variance_phases", []),
-                                 "variance_phases"),
+        gks=gks, variance_phases=variance_phases,
     )
     try:
         scenario.model()

@@ -10,10 +10,12 @@ Chunks are the unit of determinism; execution batches are the unit of work.
 A batch is a run of about ceil(n_chunks / threads) whole chunks, fewer when
 its states, one step block of increments and its per-chunk sums would pass
 ``_BATCH_BYTES``.  It runs as one kernel call, which draws its increments
-one step block at a time.  At every record step each chunk's states go to
-every reducer (the projector sum behind ``rho_hat`` and any the caller
-names), whose chunk sums are added in chunk order, so neither the (batch,
-steps, N) increments nor the (batch, R, d) states are ever held.
+one step block at a time.  At every record step the kernel hands over its
+component-major (d, batch) states, from which each chunk's projector sum
+behind ``rho_hat`` is reduced in place (``_projector_sums``); only the
+caller's reducers, and the final states, take a row-major copy.  The chunk
+sums are added in chunk order, so neither the (batch, steps, N) increments
+nor the (batch, R, d) states are ever held.
 
 With ``threads`` > 1 and more than one batch, ``_fork_map`` (which also
 runs the CLI's ``choi.json`` tasks) runs the batches in at most ``threads``
@@ -197,11 +199,28 @@ def _batch_layout(n_chunks, chunk_bytes, threads):
     return batches, min(threads, len(batches))
 
 
+def _projector_sums(psi, chunk, out):
+    """out[c] = sum_b psi_b psi_b^dag over chunk c, `chunk` columns of the
+    (d, rows) states (the last may be short).  Plain einsum, not BLAS, adds
+    each entry's products in column order, the bits of ``einsum("bi,bj->ij")``
+    over the chunk's (rows, d) states, however many chunks one call sums."""
+    d, n = psi.shape
+    full = n // chunk
+    if full:
+        c = psi[:, :full * chunk].reshape(d, full, chunk)
+        np.einsum("icb,jcb->cij", c, c.conj(), out=out[:full])
+    if full * chunk < n:
+        tail = psi[:, full * chunk:]
+        np.einsum("ib,jb->ij", tail, tail.conj(), out=out[full])
+
+
 def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks):
     """The function that runs one batch (c0, c1) of the chunks and returns
-    the (chunks, R, ...) sums of each (function, template sum) reducer, the
-    global indices of its blown-up trajectories, its drifts and end states."""
+    the (chunks, R, ...) sums of the projectors, under "_projectors", and
+    of each (function, template sum) reducer, the global indices of its
+    blown-up trajectories, its drifts and end states."""
     R = record_steps.size
+    chunk = edges[1]    # every chunk but the last holds this many rows
 
     def run(batch):
         c0, c1 = batch
@@ -209,16 +228,22 @@ def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks):
         rows = [(edges[c] - lo, edges[c + 1] - lo) for c in range(c0, c1)]
         sums = {name: np.empty((c1 - c0, R) + probe.shape, probe.dtype)
                 for name, (_, probe) in reducers.items()}
+        projectors = sums["_projectors"] = np.empty(
+            (c1 - c0, R, u.dim, u.dim), dtype=complex)
         finals = np.empty((hi - lo, u.dim), dtype=complex)
 
         def on_record(r, psi):
-            # every reducer sums each chunk at every record step, so that a
-            # batch holds its per-chunk sums but never its states
-            for c, (a, b) in enumerate(rows):
-                for name, (reduce, _) in reducers.items():
-                    sums[name][c, r] = reduce(psi[a:b])
+            # each chunk is summed at every record step, so that a batch
+            # holds its per-chunk sums but never its states; the kernel's
+            # (d, rows) view is copied to (rows, d) only for caller reducers
+            _projector_sums(psi, chunk, projectors[:, r])
+            if reducers:
+                states = np.ascontiguousarray(psi.T)
+                for c, (a, b) in enumerate(rows):
+                    for name, (reduce, _) in reducers.items():
+                        sums[name][c, r] = reduce(states[a:b])
             if r == R - 1:
-                finals[:] = psi
+                finals[:] = psi.T
 
         dW = None
         if dW_chunks is not None:
@@ -284,8 +309,9 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     naming every blown-up trajectory.
 
     reducers optionally maps a name to a function that takes a chunk's
-    (rows, d) states and returns their sum, reduced like the projectors
-    behind rho_hat; ``means[name]`` holds its (R, ...) ensemble mean.
+    C-contiguous (rows, d) states and returns their sum, reduced like the
+    projectors behind rho_hat; ``means[name]`` holds its (R, ...) ensemble
+    mean.
 
     dW_chunks optionally supplies pregenerated increments per chunk (used by
     the step-size consistency checks to couple runs across dt levels);
@@ -313,15 +339,14 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     reducers = dict(reducers or {})
     if "_projectors" in reducers:
         raise ValueError("the reducer name '_projectors' is reserved")
-    # plain einsum, which does not dispatch to BLAS, so a chunk's projector
-    # sum is a pure function of its states and the same on every thread
-    reducers["_projectors"] = lambda psi: np.einsum("bi,bj->ij", psi,
-                                                    psi.conj())
     # one sum per reducer at psi0 fixes the shape and dtype of its sums
     reducers = {name: (reduce, np.asarray(reduce(psi0[None, :])))
                 for name, reduce in reducers.items()}
     R = record_steps.size
     d = u.dim
+    # the projector sums, which _batch_job reduces itself
+    templates = {"_projectors": np.zeros((d, d), dtype=complex)}
+    templates.update((name, probe) for name, (_, probe) in reducers.items())
 
     # chunk c holds trajectories [edges[c], edges[c+1])
     edges = list(range(0, n_trajectories, chunk_size)) + [n_trajectories]
@@ -330,7 +355,7 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
         raise ValueError("dW_chunks must match the chunk layout")
     block = min(kernels.STEP_BLOCK, cfg.n_steps)
     chunk_bytes = (chunk_size * (16 * d + 8 * block * u.noise_count)
-                   + R * sum(probe.nbytes for _, probe in reducers.values()))
+                   + R * sum(probe.nbytes for probe in templates.values()))
     batches, workers = _batch_layout(n_chunks, chunk_bytes, threads)
     job = _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks)
 
@@ -338,7 +363,7 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     drift_means = np.zeros(n_trajectories)
     finals = np.empty((n_trajectories, d), dtype=complex)
     totals = {name: np.zeros((R,) + probe.shape, probe.dtype)
-              for name, (_, probe) in reducers.items()}
+              for name, probe in templates.items()}
     blown = []
     # batch order, then chunk order within each, whatever the worker count
     for result, (c0, c1) in zip(_fork_map(job, batches, workers), batches):

@@ -51,7 +51,10 @@ class UnitaryFreedom:
                 raise ValueError(f"u not unitary: max defect {defect:.3e}")
             object.__setattr__(self, "matrix", u)
         else:
-            object.__setattr__(self, "phase", float(self.phase))
+            phase = float(self.phase)
+            if not np.isfinite(phase):
+                raise ValueError(f"phase must be finite, got {phase}")
+            object.__setattr__(self, "phase", phase)
 
     @property
     def noise_count(self):

@@ -130,9 +130,10 @@ def check_generator_identity(model, freedom, samples=100, seed=0, fault=None):
     t0 = time.perf_counter()
     u = Unraveling(model, freedom, fault=fault)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        worst = max(worst, generator_deviation(u, random_state(rng, u.dim)))
+    deviations = [generator_deviation(u, random_state(rng, u.dim))
+                  for _ in range(samples)]
+    # np.max carries a NaN through, so a non-finite deviation fails the check
+    worst = float(np.max(deviations, initial=0.0))
     return VerificationReport(
         name="generator-identity",
         passed=worst <= TOL.generator_match,
@@ -186,9 +187,11 @@ def check_complete_positivity(gks, times):
 def _checkpoint_steps(checkpoints, cfg):
     steps = []
     for t in checkpoints:
-        if t <= 0:
+        if not t > 0:       # NaN included
             raise ValueError(f"checkpoint {t} is not positive; the ensemble "
                              f"starts from psi0 at t=0")
+        if t == np.inf:
+            raise ValueError(f"checkpoint {t} is past t_final={cfg.t_final}")
         k = int(round(t / cfg.dt))
         if abs(k * cfg.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"checkpoint {t} is not a multiple of dt={cfg.dt}")

@@ -266,6 +266,13 @@ def test_bad_trajectory_count_exits_2(tmp_path, capsys, command, count):
     ("checkpoints", [0.01, "later"], "checkpoints[1]: must be a number"),
     ("variance_phases", ["pi"], "variance_phases[0]: must be a number"),
     ("freedom", 5, "freedom: must be a string, got 5"),
+    # non-finite values once ran into a norm blow-up that blamed the step
+    # size, or left a traceback
+    ("freedom", "phase:nan", "freedom: phase must be finite, got nan"),
+    ("freedom", "phase:-inf", "freedom: phase must be finite, got -inf"),
+    ("variance_phases", [0.0, float("inf")],
+     "variance_phases[1]: must be finite, got inf"),
+    ("psi0", [[float("nan"), 0.0], [S2, 0.0]], "psi0: not normalized"),
 ])
 def test_bad_scenario_field_exits_2(tmp_path, capsys, command, field, value,
                                     message):

@@ -1,5 +1,6 @@
 """Tests for the stepping kernel: the reference step with and without
-faults, recording, blow-up, and the one-step quadrature mean."""
+faults, recording, blow-up, and the one-step quadrature mean and second
+moment."""
 
 import itertools
 
@@ -102,7 +103,9 @@ def test_step_blocks_and_record_hook_do_not_change_states(monkeypatch):
                             on_record=lambda r, psi: seen.append((r, psi)))
     assert hooked[0] is None
     assert [r for r, _ in seen] == list(range(300))
-    assert np.array_equal(np.stack([psi for _, psi in seen], axis=1), states)
+    # the hook gets the kernel's component-major (d, batch) states
+    assert np.array_equal(np.stack([psi.T for _, psi in seen], axis=1),
+                          states)
     monkeypatch.setattr(kernels, "STEP_BLOCK", 1000)
     whole = simulate_chunk(psi0, K, rotated, dt, dW, True, record)
     for a, b in zip(whole, (states, drift_max, drift_mean)):
@@ -218,13 +221,10 @@ def test_renormalized_states_have_unit_norm():
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature of one step: the weak-error oracle without noise
 
-def quadrature_mean(u, psi, dt, q=24):
-    """The expectation of the kernel's one-step psi' psi'^dag, and the
-    largest | ||psi'|| - 1 |, by the q^N-node tensor-product Gauss-Hermite
-    rule: node x, scaled by sqrt(dt), is the increment of each channel.
-
-    With renormalization the step is not a polynomial in dW, hence q = 24.
-    """
+def quadrature_step(u, psi, dt, q):
+    """The kernel's renormalized one-step states from psi at the nodes of
+    the q^N-node tensor-product Gauss-Hermite rule, and their weights: node
+    x, scaled by sqrt(dt), is the increment of each channel."""
     x, w = hermegauss(q)
     N = u.rotated.shape[0]
     dW = np.sqrt(dt) * np.array(list(itertools.product(x, repeat=N)))
@@ -233,7 +233,16 @@ def quadrature_mean(u, psi, dt, q=24):
                                           dW[:, None, :], True,
                                           np.array([1], dtype=np.int64))
     assert not status.any()
-    out = states[:, 0]
+    return weights, states[:, 0]
+
+
+def quadrature_mean(u, psi, dt, q=24):
+    """The expectation of the kernel's one-step psi' psi'^dag, and the
+    largest | ||psi'|| - 1 |, by quadrature_step's rule.
+
+    With renormalization the step is not a polynomial in dW, hence q = 24.
+    """
+    weights, out = quadrature_step(u, psi, dt, q)
     mean = np.einsum("r,ri,rj->ij", weights, out, out.conj())
     return mean, np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))
 
@@ -269,3 +278,66 @@ def test_one_step_quadrature_mean_has_local_error_of_order_dt2(member):
         exact = lindblad.propagate_exact(u.model, P, dt)
         errors.append(np.max(np.abs(mean - exact)))
     assert errors[0] >= 3 * errors[1] and errors[1] >= 3 * errors[2], errors
+
+
+def member_moment(u, psi):
+    """C(psi) = lim E[dP (x) dP] / dt of member u at the unit state psi:
+
+        sum_jl [S_jl a_j (x) a_l + conj(S_jl) a_j^dag (x) a_l^dag]
+          + sum_j (a_j (x) a_j^dag + a_j^dag (x) a_j),
+
+    with S = u^T u, a_j = c_j psi^dag and c_j = (L_j - <psi, L_j psi>) psi
+    over the unrotated, zero-padded operators.  It depends on the member
+    only through u^T u, and not on the phase gauge of B_k."""
+    N = u.noise_count
+    ops = list(u.model.lindblad_ops)
+    ops += [np.zeros((u.dim, u.dim), dtype=complex)] * (N - len(ops))
+    a = [np.outer(L @ psi - np.vdot(psi, L @ psi) * psi, psi.conj())
+         for L in ops]
+    umat = u.freedom.as_matrix()
+    S = umat.T @ umat
+    C = sum(S[j, l] * np.kron(a[j], a[l])
+            + np.conj(S[j, l]) * np.kron(a[j].conj().T, a[l].conj().T)
+            for j in range(N) for l in range(N))
+    return C + sum(np.kron(aj, aj.conj().T) + np.kron(aj.conj().T, aj)
+                   for aj in a)
+
+
+# the member of each member-identity case, and its state (None: generic)
+MEMBER_IDENTITY_CASES = {
+    "diosi-complex-plus": (
+        lambda rng: Unraveling(DEPHASING, "diosi-complex"), PLUS),
+    "diosi-complex": (
+        lambda rng: Unraveling(DEPHASING, "diosi-complex"), None),
+    "phase:0.7": (lambda rng: Unraveling(DEPHASING, "phase:0.7"), None),
+    "d3-n2-N2": (lambda rng: Unraveling(
+        scaled_model(rng, 3, n_ops=2),
+        UnitaryFreedom(matrix=random_unitary(rng, 2))), None),
+    "d4-n2-N3": (lambda rng: Unraveling(
+        scaled_model(rng, 4, n_ops=2),
+        UnitaryFreedom(matrix=random_unitary(rng, 3))), None),
+}
+
+
+@pytest.mark.parametrize("case", MEMBER_IDENTITY_CASES)
+def test_one_step_quadrature_second_moment_is_the_members_own(case):
+    # The mean cannot tell members apart; the projector's second moment
+    # can.  By quadrature, E[dP (x) dP] / dt of one kernel step differs
+    # from the member's C(psi) only at O(dt): the defect halves with dt.
+    # A step that drives some channel with another's increment is another
+    # member's, or none, and its defect does not fall.
+    rng = np.random.default_rng(32)
+    build, psi = MEMBER_IDENTITY_CASES[case]
+    u = build(rng)
+    if psi is None:
+        psi = verify.random_state(rng, u.dim)
+    P = np.outer(psi, psi.conj())
+    C = member_moment(u, psi)
+    defects = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        weights, out = quadrature_step(u, psi, dt, q=8)
+        dP = np.einsum("ri,rj->rij", out, out.conj()) - P
+        moment = np.einsum("r,rij,rkl->ikjl", weights, dP, dP)
+        defects.append(np.max(np.abs(moment.reshape(C.shape) / dt - C)))
+    assert (defects[0] >= 1.8 * defects[1]
+            and defects[1] >= 1.8 * defects[2]), defects

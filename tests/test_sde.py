@@ -184,6 +184,49 @@ def test_rho_hat_is_the_mean_projector_of_the_kept_states(threads):
     assert np.max(np.abs(est.rho_hat[-1] - ref)) < 1e-13
 
 
+def row_major_rho_hat(states, chunk):
+    """rho_hat from the (M, d) states as the row-major reduction makes it:
+    each chunk's einsum("bi,bj->ij"), added in chunk order, over M."""
+    total = np.zeros((states.shape[1],) * 2, dtype=complex)
+    for lo in range(0, len(states), chunk):
+        part = states[lo:lo + chunk]
+        total += np.einsum("bi,bj->ij", part, part.conj())
+    return total / len(states)
+
+
+def row_major_projectors(psi):
+    # a caller's reducer is given a chunk's C-contiguous (rows, d) states
+    assert psi.ndim == 2 and psi.flags.c_contiguous
+    return np.einsum("bi,bj->ij", psi, psi.conj())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 32])
+def test_rho_hat_has_the_bits_of_the_row_major_reduction(d, threads):
+    # rho_hat is reduced from the kernel's component-major states, full
+    # chunks in one batched einsum and a short last chunk on its own; its
+    # bits are those of the row-major sums, at the last record over the
+    # final states and at every record through a caller's reducer
+    rng = np.random.default_rng(40 + d)
+    model = (LindbladModel(np.array([[0.5]]), ()) if d == 1
+             else scaled_model(rng, d))
+    u = Unraveling(model, "standard")
+    psi0 = verify.random_state(rng, d)
+    cfg = IntegrationConfig(dt=1e-2, t_final=0.04, seed=8, record_stride=2)
+    for M in (1, 255, 256, 601, 1000):
+        for chunk in (1, 7, 128, 256):
+            plain = simulate_ensemble(u, psi0, cfg, M, threads=threads,
+                                      chunk_size=chunk)
+            expected = row_major_rho_hat(plain.final_states, chunk)
+            assert plain.rho_hat[-1].tobytes() == expected.tobytes(), \
+                (M, chunk)
+            reduced = simulate_ensemble(
+                u, psi0, cfg, M, threads=threads, chunk_size=chunk,
+                reducers={"P": row_major_projectors})
+            assert reduced.means["P"].tobytes() == plain.rho_hat.tobytes(), \
+                (M, chunk)
+
+
 def test_keeping_states_does_not_change_rho_hat():
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=22, record_stride=4)
     dropped = simulate_ensemble(DEPHASING, PLUS, cfg, 601, chunk_size=128)

@@ -63,6 +63,14 @@ def test_parse_freedom_presets():
         parse_freedom("bogus", 1)
 
 
+@pytest.mark.parametrize("spec", ["phase:nan", "phase:inf", "phase:-inf"])
+def test_a_non_finite_phase_is_rejected(spec):
+    # a NaN phase once ran every trajectory into a norm blow-up and passed
+    # the generator identity with a deviation of 0.0
+    with pytest.raises(ValueError, match="phase must be finite"):
+        parse_freedom(spec, 1)
+
+
 @pytest.mark.parametrize("spec", [
     "unitary:[[", "unitary:5", "unitary:[[1]]", 'unitary:[[["1", 0]]]',
     "unitary:[[[1, 0, 0]]]", "unitary:[[[1, 0]], []]", "unitary:[[[NaN, 0]]]"])

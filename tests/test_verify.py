@@ -184,6 +184,17 @@ def test_check_generator_identity_report():
     assert faulty.ok
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_deviation_fails_the_generator_identity(monkeypatch, bad):
+    # max(worst, nan) keeps worst; the check must not pass over a NaN
+    deviations = iter([1e-16, bad, 2e-16])
+    monkeypatch.setattr(verify, "generator_deviation",
+                        lambda u, psi: next(deviations))
+    report = check_generator_identity(DEPHASING, "standard", samples=3)
+    assert not report.passed
+    assert not np.isfinite(report.measured["max_deviation"])
+
+
 def test_check_complete_positivity_both_ways():
     cp = check_complete_positivity(GKSForm(np.zeros((2, 2)), np.eye(3)),
                                    [0.1, 1.0])
@@ -255,10 +266,14 @@ def test_check_ensemble_vs_exact_rejects_off_grid_checkpoint():
 
 def test_non_positive_checkpoints_are_rejected():
     cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
-    for checkpoints in ([0.0, 0.05], [0.0], [-0.05, 0.1]):
+    for checkpoints in ([0.0, 0.05], [0.0], [-0.05, 0.1], [np.nan]):
         with pytest.raises(ValueError, match="is not positive"):
             check_ensemble_vs_exact(DEPHASING, "standard", PLUS, cfg, 10,
                                     checkpoints)
+    # an infinite checkpoint once escaped as an OverflowError
+    with pytest.raises(ValueError, match="checkpoint inf is past t_final"):
+        check_ensemble_vs_exact(DEPHASING, "standard", PLUS, cfg, 10,
+                                [0.05, np.inf])
     with pytest.raises(ValueError, match="checkpoint 0.0 is not positive"):
         check_unraveling_equivalence(DEPHASING, ["standard", "standard"],
                                      PLUS, cfg, 10, 0.0)
