@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import hilbert, lindblad, observables, sde, verify
-from .scenario import ScenarioError, complex_to_pairs, parse_scenario
+from .scenario import (ENSEMBLE_KEYS, ScenarioError, complex_to_pairs,
+                       parse_scenario)
 from .tolerances import TOL
 from .unraveling import Unraveling
 
@@ -125,7 +126,7 @@ def _rows(M):
     n = len(M)
     tiles = -(-n // _TILE)
     texts = sde._fork_map(functools.partial(_tile_text, M), range(tiles),
-                          min(_cpu_count(), tiles))
+                          _cpu_count())
     del M
     left = [[] for _ in range(n)]     # each row's text left of its tile
     # split through map, so that no task's text stays bound while its rows
@@ -152,11 +153,8 @@ def _scenario_hash(scenario, seed):
 
 
 def _load(args):
-    """An ensemble command's scenario, trajectories given, --seed applied."""
-    scenario = parse_scenario(args.scenario, required=("trajectories",))
-    if scenario.psi0 is None or scenario.integration is None:
-        raise ScenarioError(
-            f"{args.command} needs psi0 and an integration block")
+    """An ensemble command's scenario, ENSEMBLE_KEYS given, --seed applied."""
+    scenario = parse_scenario(args.scenario, required=ENSEMBLE_KEYS)
     if args.seed is not None:
         try:
             scenario.integration = dataclasses.replace(scenario.integration,
@@ -268,7 +266,8 @@ def cmd_variance_scan(args):
         est = sde.simulate_ensemble(
             u, scenario.psi0, cfg, scenario.trajectories,
             threads=args.threads,
-            reducers={"V": lambda psi: observables._variance(psi, L).sum()})
+            reducers={"V": lambda s: observables._variance(
+                np.moveaxis(s, 0, -1), L).sum(-1)})
         curves.append(est.means["V"])
     os.makedirs(args.out, exist_ok=True)
     columns = ["time"] + [f"mean_V_f={f:g}" for f in phases]

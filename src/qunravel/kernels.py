@@ -116,7 +116,8 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
     dt : float
     dW : (batch, steps, N) float, or any object with that ``shape`` whose
         ``dW[:, s0:s1]`` gives the increments of steps s0..s1-1; blocks are
-        read once each, in order
+        read once each, in order.  N must be len(rotated) and steps at least
+        the last record step, else ValueError
     renormalize : bool
     record_steps : (R,) int, strictly increasing 1-based step counts
     fault : None or one of :data:`FAULTS`, see :func:`drift_diffusion`
@@ -137,6 +138,9 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
     rotated = np.ascontiguousarray(rotated, dtype=np.complex128)
     record_steps = np.ascontiguousarray(record_steps, dtype=np.int64)
     batch, steps, N = np.shape(dW)
+    if N != len(rotated) or np.any(record_steps > steps):
+        raise ValueError(f"dW of shape {np.shape(dW)} must have {len(rotated)}"
+                         f" noise channels and reach every record step")
     d = psi0.size
     R = record_steps.size
     states = None

@@ -165,9 +165,17 @@ _SCENARIO_KEYS = ("dim", "hamiltonian", "lindblad_ops", "freedom", "psi0",
                   "variance_phases")
 
 
-def scenario_from_dict(data, extra=()):
-    """The Scenario of a JSON object whose keys are _SCENARIO_KEYS or extra."""
+# the keys every ensemble run needs: without "trajectories" one trajectory
+# would give a statistical tolerance no distance exceeds
+ENSEMBLE_KEYS = ("trajectories", "psi0", "integration")
+
+
+def scenario_from_dict(data, extra=(), required=()):
+    """The Scenario of a JSON object whose keys are _SCENARIO_KEYS or extra;
+    each key in required must be in it."""
     _known(data, _SCENARIO_KEYS + tuple(extra))
+    for key in required:
+        _require(data, key)
     dim = _integer(_require(data, "dim"), "dim")
     H = pairs_to_complex(_require(data, "hamiltonian"), "hamiltonian")
     if H.shape != (dim, dim):
@@ -254,8 +262,4 @@ def read_json(path, name):
 
 def parse_scenario(path, required=()):
     """The scenario at path; each key in required must be in the file."""
-    data = read_json(path, path)
-    scenario = scenario_from_dict(data)
-    for key in required:
-        _require(data, key)
-    return scenario
+    return scenario_from_dict(read_json(path, path), required=required)

@@ -6,16 +6,16 @@ stream keyed by (seed, i), so the stream is a pure function of the pair and
 trajectories can be executed in any order or in any number of processes
 without changing a single bit of the result.
 
-Chunks are the unit of determinism; execution batches are the unit of work.
-A batch is a run of about ceil(n_chunks / threads) whole chunks, fewer when
-its states, one step block of increments and its per-chunk sums would pass
-``_BATCH_BYTES``.  It runs as one kernel call, which draws its increments
-one step block at a time.  At every record step the kernel hands over its
-component-major (d, batch) states, from which each chunk's projector sum
-behind ``rho_hat`` is reduced in place (``_projector_sums``); only the
-caller's reducers, and the final states, take a row-major copy.  The chunk
-sums are added in chunk order, so neither the (batch, steps, N) increments
-nor the (batch, R, d) states are ever held.
+Chunks of ``_CHUNK`` trajectories are the unit of determinism; execution
+batches are the unit of work.  A batch is a run of about ceil(n_chunks /
+threads) whole chunks, fewer when its states, one step block of increments
+and its per-chunk sums would pass ``_BATCH_BYTES``.  It runs as one kernel
+call, which draws its increments one step block at a time.  At every record
+step the kernel hands over its component-major (d, batch) states, and each
+reducer, the projectors behind ``rho_hat`` first, sums every chunk of them
+in place (``_chunk_sums``).  The chunk sums are added in chunk order, so
+neither the (batch, steps, N) increments nor the (batch, R, d) states are
+ever held.
 
 With ``threads`` > 1 and more than one batch, ``_fork_map`` (which also
 runs the CLI's ``choi.json`` tasks) runs the batches in at most ``threads``
@@ -37,7 +37,7 @@ import numpy as np
 from . import hilbert, kernels
 from .tolerances import TOL
 
-_DEFAULT_CHUNK = 256
+_CHUNK = 256    # trajectories per chunk, which fixes rho_hat's sum order
 # bytes a batch of more than one chunk may hold: its states, one step block
 # of increments and its per-chunk, per-record reducer sums
 _BATCH_BYTES = 32 * 2 ** 20
@@ -171,86 +171,63 @@ class _Increments:
         return block
 
 
-def _simulate(u, psi0, cfg, start, count, record_steps, dW=None,
-              on_record=None):
-    """Run trajectories [start, start+count) to the last record step, on
-    their Philox streams unless dW is given; returns the kernel's tuple."""
-    if dW is None:
-        dW = _Increments(cfg.seed, start, count, int(record_steps[-1]),
-                         u.noise_count, cfg.dt)
-    return kernels.simulate_chunk(psi0, u.K, u.rotated, cfg.dt, dW,
-                                  cfg.renormalize, record_steps,
-                                  fault=u.fault, on_record=on_record)
-
-
 def _batch_layout(n_chunks, chunk_bytes, threads):
-    """Execution batches, as runs [c0, c1) of whole chunks, and the number
-    of workers that run them.
-
-    A batch takes ceil(n_chunks / threads) chunks, or as many as fit in
-    ``_BATCH_BYTES`` at ``chunk_bytes`` each if that is fewer (always at
-    least one); workers = min(threads, number of batches).
-    """
-    threads = max(1, threads)
-    per_batch = min(-(-n_chunks // threads),
+    """Execution batches, as runs [c0, c1) of whole chunks: each takes
+    ceil(n_chunks / threads) chunks, or as many as fit in ``_BATCH_BYTES``
+    at ``chunk_bytes`` each if that is fewer (always at least one)."""
+    per_batch = min(-(-n_chunks // max(1, threads)),
                     max(1, _BATCH_BYTES // chunk_bytes))
-    batches = [(c0, min(c0 + per_batch, n_chunks))
-               for c0 in range(0, n_chunks, per_batch)]
-    return batches, min(threads, len(batches))
+    return [(c0, min(c0 + per_batch, n_chunks))
+            for c0 in range(0, n_chunks, per_batch)]
 
 
-def _projector_sums(psi, chunk, out):
-    """out[c] = sum_b psi_b psi_b^dag over chunk c, `chunk` columns of the
-    (d, rows) states (the last may be short).  Plain einsum, not BLAS, adds
-    each entry's products in column order, the bits of ``einsum("bi,bj->ij")``
-    over the chunk's (rows, d) states, however many chunks one call sums."""
+def _projectors(s):
+    """The reducer behind rho_hat: each chunk's sum of |psi><psi|.  Plain
+    einsum, not BLAS, adds each entry's products in column order, the bits
+    of ``einsum("bi,bj->ij")`` over the chunk's (rows, d) states."""
+    return np.einsum("icb,jcb->cij", s, s.conj())
+
+
+def _chunk_sums(psi, chunk, reduce, out):
+    """out[c] = reduce's sum over chunk c of the (d, rows) states, `chunk`
+    columns each but a short last one: reduce is called once on the full
+    chunks, as a (d, chunks, chunk) view, and once on a short last chunk."""
     d, n = psi.shape
     full = n // chunk
     if full:
-        c = psi[:, :full * chunk].reshape(d, full, chunk)
-        np.einsum("icb,jcb->cij", c, c.conj(), out=out[:full])
+        out[:full] = reduce(psi[:, :full * chunk].reshape(d, full, chunk))
     if full * chunk < n:
-        tail = psi[:, full * chunk:]
-        np.einsum("ib,jb->ij", tail, tail.conj(), out=out[full])
+        out[full:] = reduce(psi[:, None, full * chunk:])
 
 
-def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks):
-    """The function that runs one batch (c0, c1) of the chunks and returns
-    the (chunks, R, ...) sums of the projectors, under "_projectors", and
-    of each (function, template sum) reducer, the global indices of its
-    blown-up trajectories, its drifts and end states."""
+def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW):
+    """The function that runs one batch (c0, c1) of the chunks, on dW's
+    rows or else on their Philox streams, and returns the (chunks, R, ...)
+    sums of each (function, template sum) reducer, the global indices of
+    its blown-up trajectories, its drifts and end states."""
     R = record_steps.size
-    chunk = edges[1]    # every chunk but the last holds this many rows
+    steps = int(record_steps[-1])
 
     def run(batch):
         c0, c1 = batch
         lo, hi = edges[c0], edges[c1]
-        rows = [(edges[c] - lo, edges[c + 1] - lo) for c in range(c0, c1)]
-        sums = {name: np.empty((c1 - c0, R) + probe.shape, probe.dtype)
-                for name, (_, probe) in reducers.items()}
-        projectors = sums["_projectors"] = np.empty(
-            (c1 - c0, R, u.dim, u.dim), dtype=complex)
+        sums = {name: np.empty((c1 - c0, R) + template.shape, template.dtype)
+                for name, (_, template) in reducers.items()}
         finals = np.empty((hi - lo, u.dim), dtype=complex)
 
         def on_record(r, psi):
             # each chunk is summed at every record step, so that a batch
-            # holds its per-chunk sums but never its states; the kernel's
-            # (d, rows) view is copied to (rows, d) only for caller reducers
-            _projector_sums(psi, chunk, projectors[:, r])
-            if reducers:
-                states = np.ascontiguousarray(psi.T)
-                for c, (a, b) in enumerate(rows):
-                    for name, (reduce, _) in reducers.items():
-                        sums[name][c, r] = reduce(states[a:b])
+            # holds its per-chunk sums but never its states
+            for name, (reduce, _) in reducers.items():
+                _chunk_sums(psi, _CHUNK, reduce, sums[name][:, r])
             if r == R - 1:
                 finals[:] = psi.T
 
-        dW = None
-        if dW_chunks is not None:
-            dW = np.concatenate([dW_chunks[c][:, :record_steps[-1]]
-                                 for c in range(c0, c1)])
-        _, drifts, drift_means, status = _simulate(
-            u, psi0, cfg, lo, hi - lo, record_steps, dW, on_record)
+        increments = (_Increments(cfg.seed, lo, hi - lo, steps, u.noise_count,
+                                  cfg.dt) if dW is None else dW[lo:hi, :steps])
+        _, drifts, drift_means, status = kernels.simulate_chunk(
+            psi0, u.K, u.rotated, cfg.dt, increments, cfg.renormalize,
+            record_steps, fault=u.fault, on_record=on_record)
         return sums, lo + np.nonzero(status)[0], drifts, drift_means, finals
 
     return run
@@ -266,14 +243,16 @@ def _run_forked(item):
 
 def _fork_map(job, items, workers):
     """Iterate over job(item) for each of items, in order: lazily in this
-    process for fewer than two workers, where the platform cannot fork, or
-    in a daemonic process, which may start none; otherwise in `workers`
-    processes forked with the job in ``_job``.  Fork hands the job over by
-    copying the caller's memory: nothing is pickled but items and results,
-    and nothing re-imports the caller's ``__main__``.  ``_job`` is cleared
-    once every worker is forked, so this process then holds no reference
-    to the job.  A worker that dies breaks the pool, which raises."""
+    process for fewer than two workers or items, where the platform cannot
+    fork, or in a daemonic process, which may start none; otherwise in
+    min(workers, len(items)) processes forked with the job in ``_job``.
+    Fork hands the job over by copying the caller's memory: nothing is
+    pickled but items and results, and nothing re-imports the caller's
+    ``__main__``.  ``_job`` is cleared once every worker is forked, so this
+    process then holds no reference to the job.  A worker that dies breaks
+    the pool, which raises."""
     global _job
+    workers = min(workers, len(items))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -295,34 +274,35 @@ def _fork_map(job, items, workers):
 
 
 def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
-                      reducers=None, chunk_size=_DEFAULT_CHUNK,
-                      dW_chunks=None, record_steps=None):
+                      reducers=None, dW=None, record_steps=None):
     """Monte Carlo estimate of rho_t = E|psi_t><psi_t| over the record grid.
 
     The result is bitwise independent of `threads`: trajectory i always uses
-    the Philox stream keyed by (seed, i), chunk boundaries depend only on
-    `chunk_size`, and per-chunk sums are reduced in chunk order.
+    the Philox stream keyed by (seed, i), chunks of ``_CHUNK`` trajectories
+    are fixed, and per-chunk sums are reduced in chunk order.
     Execution batches of about ceil(n_chunks / threads) whole chunks run in
     up to `threads` forked worker processes, or in this process when
     `threads` is 1; they change how much runs per kernel call and where,
     but no trajectory's arithmetic.  A norm blow-up raises NormBlowupError
     naming every blown-up trajectory.
 
-    reducers optionally maps a name to a function that takes a chunk's
-    C-contiguous (rows, d) states and returns their sum, reduced like the
-    projectors behind rho_hat; ``means[name]`` holds its (R, ...) ensemble
-    mean.
+    reducers optionally maps a name to a function that takes a read-only
+    (d, chunks, rows) view of the states of whole chunks and returns the
+    (chunks, ...) array of their sums, reduced like the projectors behind
+    rho_hat; ``means[name]`` holds its (R, ...) ensemble mean.
 
-    dW_chunks optionally supplies pregenerated increments per chunk (used by
-    the step-size consistency checks to couple runs across dt levels);
-    record_steps overrides the stride grid from cfg; it must be strictly
-    increasing within [1, cfg.n_steps], and no trajectory steps past its
-    last step, so norm_drift and norm_drift_mean cover only those steps.
+    dW optionally supplies the increments as one (n_trajectories, steps, N)
+    array, steps at least the last record step (used by the step-size
+    consistency checks to couple runs across dt levels); record_steps
+    overrides the stride grid from cfg; it must be strictly increasing
+    within [1, cfg.n_steps], and no trajectory steps past its last step, so
+    norm_drift and norm_drift_mean cover only those steps.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
+    if dW is not None and len(dW) != n_trajectories:
+        raise ValueError(f"dW has {len(dW)} rows for {n_trajectories} "
+                         f"trajectories")
     psi0 = hilbert.as_state(psi0, dim=u.dim)
     if not hilbert.is_normalized(psi0):
         raise ValueError("psi0 must be normalized")
@@ -339,34 +319,31 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     reducers = dict(reducers or {})
     if "_projectors" in reducers:
         raise ValueError("the reducer name '_projectors' is reserved")
-    # one sum per reducer at psi0 fixes the shape and dtype of its sums
-    reducers = {name: (reduce, np.asarray(reduce(psi0[None, :])))
-                for name, reduce in reducers.items()}
+    # one sum per reducer over psi0, as a chunk of one, fixes the shape and
+    # dtype of its sums
+    probe = psi0[:, None, None]
+    probe.flags.writeable = False
+    reducers = {name: (reduce, np.asarray(reduce(probe))[0]) for name, reduce
+                in {"_projectors": _projectors, **reducers}.items()}
     R = record_steps.size
     d = u.dim
-    # the projector sums, which _batch_job reduces itself
-    templates = {"_projectors": np.zeros((d, d), dtype=complex)}
-    templates.update((name, probe) for name, (_, probe) in reducers.items())
 
     # chunk c holds trajectories [edges[c], edges[c+1])
-    edges = list(range(0, n_trajectories, chunk_size)) + [n_trajectories]
-    n_chunks = len(edges) - 1
-    if dW_chunks is not None and len(dW_chunks) != n_chunks:
-        raise ValueError("dW_chunks must match the chunk layout")
+    edges = list(range(0, n_trajectories, _CHUNK)) + [n_trajectories]
     block = min(kernels.STEP_BLOCK, cfg.n_steps)
-    chunk_bytes = (chunk_size * (16 * d + 8 * block * u.noise_count)
-                   + R * sum(probe.nbytes for probe in templates.values()))
-    batches, workers = _batch_layout(n_chunks, chunk_bytes, threads)
-    job = _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW_chunks)
+    chunk_bytes = (_CHUNK * (16 * d + 8 * block * u.noise_count)
+                   + R * sum(t.nbytes for _, t in reducers.values()))
+    batches = _batch_layout(len(edges) - 1, chunk_bytes, threads)
+    job = _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW)
 
     drifts = np.zeros(n_trajectories)
     drift_means = np.zeros(n_trajectories)
     finals = np.empty((n_trajectories, d), dtype=complex)
-    totals = {name: np.zeros((R,) + probe.shape, probe.dtype)
-              for name, probe in templates.items()}
+    totals = {name: np.zeros((R,) + template.shape, template.dtype)
+              for name, (_, template) in reducers.items()}
     blown = []
     # batch order, then chunk order within each, whatever the worker count
-    for result, (c0, c1) in zip(_fork_map(job, batches, workers), batches):
+    for result, (c0, c1) in zip(_fork_map(job, batches, threads), batches):
         sums, bad, drift, drift_mean, final = result
         for name, total in totals.items():
             for partial in sums[name]:

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import hilbert, lindblad, sde
-from .scenario import (ScenarioError, _integer, _known, _number, _numbers,
-                       _require, complex_to_pairs, read_json,
-                       scenario_from_dict)
+from .scenario import (ENSEMBLE_KEYS, ScenarioError, _integer, _known,
+                       _number, _numbers, _require, complex_to_pairs,
+                       read_json, scenario_from_dict)
 from .tolerances import TOL
 from .unraveling import Unraveling, generator_term
 
@@ -318,16 +318,16 @@ _CHECK_KEYS = {"generator-identity": ("samples", "seed", "fault"),
 def _run_check(kind, entry, threads):
     if not isinstance(kind, str) or kind not in _CHECK_KEYS:
         raise ScenarioError(f"unknown check type {kind!r}")
-    sc = scenario_from_dict(entry, ("check", "expect") + _CHECK_KEYS[kind])
+    ensemble = kind in ("ensemble-vs-exact", "unraveling-equivalence")
+    sc = scenario_from_dict(entry, ("check", "expect") + _CHECK_KEYS[kind],
+                            ENSEMBLE_KEYS if ensemble else ())
     if kind == "generator-identity":
         return check_generator_identity(
             sc.model(), sc.freedom_spec,
             samples=_integer(entry.get("samples", 100), "samples"),
             seed=_integer(entry.get("seed", 0), "seed", minimum=0),
             fault=entry.get("fault"))
-    # one trajectory by default would give a tolerance no distance exceeds
     if kind == "ensemble-vs-exact":
-        _require(entry, "trajectories")
         return check_ensemble_vs_exact(
             sc.model(), sc.freedom_spec, sc.psi0, sc.integration,
             sc.trajectories, sc.checkpoints, threads=threads)
@@ -335,7 +335,6 @@ def _run_check(kind, entry, threads):
         freedoms = _names(entry.get("freedoms", [sc.freedom_spec]), "freedoms")
         t = _number(_require(entry, "t"), "t")
         faults = _names(entry.get("faults"), "faults", null=True)
-        _require(entry, "trajectories")
         return check_unraveling_equivalence(
             sc.model(), freedoms, sc.psi0, sc.integration, sc.trajectories,
             t, faults=faults, threads=threads)

@@ -136,9 +136,11 @@ def test_criterion_05_variance_drift_law():
     slope 1 +- 0.1 for f in {0, pi/4}; for f = pi/2 the drift estimate is
     0 +- 0.02."""
     details, passed = [], True
-    moments = {"V": lambda psi: observables.variance(psi, SIGMA_Z).sum(),
-               "V2": lambda psi: (observables.variance(psi, SIGMA_Z) ** 2
-                                  ).sum()}
+    def variance(s):
+        return observables.variance(np.moveaxis(s, 0, -1), SIGMA_Z)
+
+    moments = {"V": lambda s: variance(s).sum(-1),
+               "V2": lambda s: (variance(s) ** 2).sum(-1)}
     for f in (0.0, np.pi / 4, np.pi / 2):
         u = Unraveling(DEPHASING, f"phase:{f}")
         cfg = q.IntegrationConfig(dt=1e-3, t_final=0.2, seed=17,
@@ -259,7 +261,7 @@ def test_criterion_09_reproducibility():
            f"hash match {h1 == h2}, bitwise serial/parallel/rerun {bitwise}")
 
 
-def test_criterion_10_order_consistency():
+def test_criterion_10_order_consistency(monkeypatch):
     """Halving dt halves the mean pre-renormalization norm drift (ratio
     2 +- 0.3) and, on Brownian paths coupled across refinement levels, the
     ensemble bias against the exact propagator is non-increasing in dt."""
@@ -280,27 +282,20 @@ def test_criterion_10_order_consistency():
     model = LindbladModel(SIGMA_X, (SIGMA_Z,))
     u2 = Unraveling(model, "standard")
     M, chunk, dt_fine, seed = 60_000, 2000, 0.025, 11
+    monkeypatch.setattr(sde, "_CHUNK", chunk)
     n_fine = int(round(1.0 / dt_fine))
-    fine_chunks = []
-    lo = 0
-    while lo < M:
-        count = min(chunk, M - lo)
-        dW = np.empty((count, n_fine, 1))
-        for i in range(count):
-            rng = sde.trajectory_rng(seed, lo + i)
-            dW[i] = rng.normal(0.0, np.sqrt(dt_fine), size=(n_fine, 1))
-        fine_chunks.append(dW)
-        lo += count
+    fine = np.empty((M, n_fine, 1))
+    for i in range(M):
+        rng = sde.trajectory_rng(seed, i)
+        fine[i] = rng.normal(0.0, np.sqrt(dt_fine), size=(n_fine, 1))
     exact = lindblad.propagate_exact(model, outer(PLUS, PLUS), 1.0)
     distances = []
     for level in (8, 4, 2):
         dt = dt_fine * level
-        chunks = [c.reshape(c.shape[0], -1, level, 1).sum(axis=2)
-                  for c in fine_chunks]
+        coarse = fine.reshape(M, -1, level, 1).sum(axis=2)
         cfg = q.IntegrationConfig(dt=dt, t_final=1.0, seed=seed,
                                   record_stride=10 ** 9)
-        est = q.simulate_ensemble(u2, PLUS, cfg, M, threads=4,
-                                  chunk_size=chunk, dW_chunks=chunks)
+        est = q.simulate_ensemble(u2, PLUS, cfg, M, threads=4, dW=coarse)
         distances.append(trace_distance(est.rho_hat[-1], exact))
     monotone = all(distances[i] >= distances[i + 1] - 1e-12
                    for i in range(len(distances) - 1))

@@ -1,13 +1,18 @@
 """End-to-end CLI tests running the entry point in-process."""
 
 import concurrent.futures
+import copy
 import importlib.resources
 import json
+import os
+import tempfile
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qunravel import cli, lindblad
 from qunravel.hilbert import SIGMA_Z
@@ -47,6 +52,11 @@ def write(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def bundled(name):
+    ref = importlib.resources.files("qunravel") / "data" / name
+    return json.loads(ref.read_text())
 
 
 def test_simulate_writes_csv_and_summary(tmp_path):
@@ -652,6 +662,29 @@ def test_an_ensemble_command_needs_the_trajectory_count(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["psi0", "integration"])
+def test_an_ensemble_input_without_its_state_or_steps_exits_2(tmp_path,
+                                                              capsys, key):
+    # each ensemble entry of the bundled suite, and each ensemble command's
+    # scenario, names the missing key instead of raising
+    entries = [entry for entry in bundled("default_suite.json")["checks"]
+               if entry["check"] in ("ensemble-vs-exact",
+                                     "unraveling-equivalence")]
+    assert len(entries) == 3
+    inputs = [("verify", {"checks": [entry]}, f"check {entry['check']!r}: ")
+              for entry in entries]
+    inputs += [(command, small_scenario(), "")
+               for command in ("simulate", "variance-scan")]
+    for command, data, prefix in inputs:
+        del (data["checks"][0] if command == "verify" else data)[key]
+        scn = write(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+        assert (f"error: {prefix}missing required field '{key}'\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 def suite_of(**fields):
     """A one-entry ensemble-vs-exact suite on small_scenario, with fields."""
     return {"checks": [small_scenario(check="ensemble-vs-exact",
@@ -715,3 +748,54 @@ def test_a_misspelt_trajectory_count_cannot_pass_a_fault(tmp_path, capsys):
     assert ("error: check 'unraveling-equivalence': unknown key "
             "'trajectoires'" in capsys.readouterr().err)
     assert not out.exists()
+
+
+# (command, input) pairs to mutate: the bundled scenario under each command
+# that reads one, and each bundled suite entry, all at 64 trajectories
+MUTATION_SOURCES = (
+    [(command, dict(bundled("dephasing.json"), trajectories=64))
+     for command in ("simulate", "variance-scan", "choi")]
+    + [("verify", dict(entry, trajectories=64) if "trajectories" in entry
+        else entry) for entry in bundled("default_suite.json")["checks"]])
+ENSEMBLE_ENTRY = next(entry for _, entry in MUTATION_SOURCES
+                      if entry.get("check") == "ensemble-vs-exact")
+# a value of each JSON type, for retyping a key
+JSON_VALUES = [None, True, 0, 1.5, "x", [], {}]
+
+
+@st.composite
+def mutants(draw):
+    """A source with one key, at the top or one level down, dropped,
+    renamed or given a value of another type."""
+    command, data = draw(st.sampled_from(MUTATION_SOURCES))
+    data = copy.deepcopy(data)
+    holder, key = draw(st.sampled_from(
+        [(data, key) for key in data]
+        + [(value, key) for value in data.values() if isinstance(value, dict)
+           for key in value]))
+    value = holder.pop(key)
+    how = draw(st.sampled_from(["drop", "rename", "retype"]))
+    if how == "rename":
+        holder[key + "_"] = value
+    elif how == "retype":
+        holder[key] = draw(st.sampled_from(
+            [v for v in JSON_VALUES if type(v) is not type(value)]))
+    return command, data
+
+
+@settings(max_examples=200, deadline=None)
+@example(mutant=("verify", {key: value for key, value
+                            in ENSEMBLE_ENTRY.items() if key != "integration"}))
+@given(mutant=mutants())
+def test_a_mutated_bundled_input_exits_0_1_or_2(mutant):
+    # an input error exits 2 with a message, never with a traceback, which
+    # would exit 1 like a failed verification
+    command, data = mutant
+    if command == "verify":
+        data = {"checks": [data]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert cli.main([command, "--scenario", path,
+                         "--out", os.path.join(tmp, "out")]) in (0, 1, 2)

@@ -209,6 +209,22 @@ def test_blowup_sets_status_flag():
     assert status.dtype == np.uint8
 
 
+@pytest.mark.parametrize("hook", [False, True])
+@pytest.mark.parametrize("channels, steps", [(2, 20), (4, 20), (3, 19)])
+def test_increments_must_fill_every_channel_and_record(channels, steps,
+                                                        hook):
+    # three noise channels recorded up to step 20: dW with fewer or more
+    # channels, or fewer steps, would drop an operator's noise or leave
+    # records unwritten
+    psi0, K, rotated, dt, _ = mixed_inputs(batch=4, steps=20)
+    dW = np.zeros((4, steps, channels))
+    on_record = (lambda r, psi: None) if hook else None
+    with pytest.raises(ValueError, match="noise channels and reach every"):
+        simulate_chunk(psi0, K, rotated, dt, dW, True,
+                       np.array([10, 20], dtype=np.int64),
+                       on_record=on_record)
+
+
 def test_renormalized_states_have_unit_norm():
     psi0, K, rotated, dt, dW = dephasing_inputs(batch=4, steps=100)
     states, _, _, status = simulate_chunk(psi0, K, rotated, dt, dW, True,

@@ -35,7 +35,7 @@ def wiener_increments(rng, n, dt):
 ENSEMBLE_ARRAYS = ("times", "rho_hat", "std_error", "norm_drift",
                    "norm_drift_mean", "final_states")
 # a nonlinear per-record statistic: <P_0>^2 = |psi_0|^4 per trajectory
-P0_SQUARED = {"p0^2": lambda psi: (np.abs(psi[:, 0]) ** 4).sum()}
+P0_SQUARED = {"p0^2": lambda s: (np.abs(s[0]) ** 4).sum(-1)}
 
 
 def ensemble_bytes(est):
@@ -136,25 +136,23 @@ def test_step_matches_manual_euler_update():
     assert np.allclose(states[0, 0], raw / np.linalg.norm(raw), atol=1e-14)
 
 
-def test_ensemble_is_thread_count_invariant():
+def test_ensemble_is_thread_count_invariant(monkeypatch):
+    monkeypatch.setattr(sde, "_CHUNK", 128)
     cfg = IntegrationConfig(dt=1e-3, t_final=0.2, seed=11, record_stride=50)
-    serial = simulate_ensemble(DEPHASING, PLUS, cfg, 600, threads=1,
-                               chunk_size=128)
-    parallel = simulate_ensemble(DEPHASING, PLUS, cfg, 600, threads=4,
-                                 chunk_size=128)
+    serial = simulate_ensemble(DEPHASING, PLUS, cfg, 600, threads=1)
+    parallel = simulate_ensemble(DEPHASING, PLUS, cfg, 600, threads=4)
     assert np.array_equal(serial.rho_hat, parallel.rho_hat)
     assert np.array_equal(serial.final_states, parallel.final_states)
     assert np.array_equal(serial.norm_drift, parallel.norm_drift)
 
 
-def test_ensemble_trajectory_streams_do_not_depend_on_chunking():
+def test_ensemble_trajectory_streams_do_not_depend_on_chunking(monkeypatch):
     cfg = IntegrationConfig(dt=1e-3, t_final=0.1, seed=3, record_stride=100)
-    a = simulate_ensemble(DEPHASING, PLUS, cfg, 100, chunk_size=7)
-    b = simulate_ensemble(DEPHASING, PLUS, cfg, 100, chunk_size=64)
+    monkeypatch.setattr(sde, "_CHUNK", 7)
+    a = simulate_ensemble(DEPHASING, PLUS, cfg, 100)
+    monkeypatch.setattr(sde, "_CHUNK", 64)
+    b = simulate_ensemble(DEPHASING, PLUS, cfg, 100)
     assert np.array_equal(a.final_states, b.final_states)
-    for bad in (0, -5):
-        with pytest.raises(ValueError, match="chunk_size"):
-            simulate_ensemble(DEPHASING, PLUS, cfg, 100, chunk_size=bad)
 
 
 def test_ensemble_mean_is_a_density_matrix():
@@ -169,14 +167,16 @@ def test_ensemble_mean_is_a_density_matrix():
 
 
 # a reducer that keeps the projector |psi><psi| of each state at every record
-PROJECTORS = {"P": lambda psi: np.einsum("bi,bj->ij", psi, psi.conj())}
+PROJECTORS = {"P": lambda s: np.einsum("icb,jcb->cij", s, s.conj())}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_rho_hat_is_the_mean_projector_of_the_kept_states(threads):
+def test_rho_hat_is_the_mean_projector_of_the_kept_states(threads,
+                                                          monkeypatch):
+    monkeypatch.setattr(sde, "_CHUNK", 128)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=21, record_stride=4)
     est = simulate_ensemble(DEPHASING, PLUS, cfg, 601, threads=threads,
-                            chunk_size=128, reducers=PROJECTORS)
+                            reducers=PROJECTORS)
     assert est.means["P"].shape == est.rho_hat.shape
     assert np.max(np.abs(est.rho_hat - est.means["P"])) < 1e-13
     finals = est.final_states
@@ -194,15 +194,18 @@ def row_major_rho_hat(states, chunk):
     return total / len(states)
 
 
-def row_major_projectors(psi):
-    # a caller's reducer is given a chunk's C-contiguous (rows, d) states
-    assert psi.ndim == 2 and psi.flags.c_contiguous
-    return np.einsum("bi,bj->ij", psi, psi.conj())
+def row_major_projectors(s):
+    # a reducer is given a read-only (d, chunks, rows) view; the reference
+    # sums each chunk's C-contiguous (rows, d) states
+    assert s.ndim == 3 and not s.flags.writeable
+    return np.array([np.einsum("bi,bj->ij", rows, rows.conj())
+                     for rows in np.ascontiguousarray(s.transpose(1, 2, 0))])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 32])
-def test_rho_hat_has_the_bits_of_the_row_major_reduction(d, threads):
+def test_rho_hat_has_the_bits_of_the_row_major_reduction(d, threads,
+                                                         monkeypatch):
     # rho_hat is reduced from the kernel's component-major states, full
     # chunks in one batched einsum and a short last chunk on its own; its
     # bits are those of the row-major sums, at the last record over the
@@ -215,23 +218,23 @@ def test_rho_hat_has_the_bits_of_the_row_major_reduction(d, threads):
     cfg = IntegrationConfig(dt=1e-2, t_final=0.04, seed=8, record_stride=2)
     for M in (1, 255, 256, 601, 1000):
         for chunk in (1, 7, 128, 256):
-            plain = simulate_ensemble(u, psi0, cfg, M, threads=threads,
-                                      chunk_size=chunk)
+            monkeypatch.setattr(sde, "_CHUNK", chunk)
+            plain = simulate_ensemble(u, psi0, cfg, M, threads=threads)
             expected = row_major_rho_hat(plain.final_states, chunk)
             assert plain.rho_hat[-1].tobytes() == expected.tobytes(), \
                 (M, chunk)
             reduced = simulate_ensemble(
-                u, psi0, cfg, M, threads=threads, chunk_size=chunk,
+                u, psi0, cfg, M, threads=threads,
                 reducers={"P": row_major_projectors})
             assert reduced.means["P"].tobytes() == plain.rho_hat.tobytes(), \
                 (M, chunk)
 
 
-def test_keeping_states_does_not_change_rho_hat():
+def test_keeping_states_does_not_change_rho_hat(monkeypatch):
+    monkeypatch.setattr(sde, "_CHUNK", 128)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=22, record_stride=4)
-    dropped = simulate_ensemble(DEPHASING, PLUS, cfg, 601, chunk_size=128)
-    kept = simulate_ensemble(DEPHASING, PLUS, cfg, 601, chunk_size=128,
-                             reducers=P0_SQUARED)
+    dropped = simulate_ensemble(DEPHASING, PLUS, cfg, 601)
+    kept = simulate_ensemble(DEPHASING, PLUS, cfg, 601, reducers=P0_SQUARED)
     assert dropped.means == {}
     assert kept.rho_hat.tobytes() == dropped.rho_hat.tobytes()
     assert kept.final_states.tobytes() == dropped.final_states.tobytes()
@@ -248,10 +251,8 @@ def test_blowup_raises_with_trajectory_index():
     # at |+> the dephasing drift is -psi/2, so a dt = 2 step with zero noise
     # lands exactly on the zero vector
     cfg = IntegrationConfig(dt=2.0, t_final=2.0, seed=2, renormalize=False)
-    zero_noise = [np.zeros((3, 1, 1))]
     with pytest.raises(NormBlowupError, match="in 3 trajectories") as err:
-        simulate_ensemble(DEPHASING, PLUS, cfg, 3, chunk_size=3,
-                          dW_chunks=zero_noise)
+        simulate_ensemble(DEPHASING, PLUS, cfg, 3, dW=np.zeros((3, 1, 1)))
     assert err.value.trajectory_index == 0
 
 
@@ -272,11 +273,11 @@ def test_a_reducer_keeps_its_floating_point_warnings():
     # reducer it calls at a record step
     probed = []
 
-    def zero_by_zero(psi):
+    def zero_by_zero(s):
         if not probed:                  # the probe call at psi0
-            probed.append(psi)
-            return np.float64(0.0)
-        return np.float64(0.0) / 0.0
+            probed.append(s)
+            return np.zeros(s.shape[1])
+        return np.zeros(s.shape[1]) / 0.0
 
     cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=1)
     with pytest.warns(RuntimeWarning, match="invalid value"):
@@ -307,9 +308,9 @@ def test_blowup_reports_every_trajectory_in_global_indices(monkeypatch,
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "simulate_chunk", logged)
+    monkeypatch.setattr(sde, "_CHUNK", 3)
     with pytest.raises(NormBlowupError, match="in 6 trajectories") as err:
-        simulate_ensemble(DEPHASING, PLUS, cfg, n, threads=2, chunk_size=3,
-                          dW_chunks=np.split(dW, n // 3))
+        simulate_ensemble(DEPHASING, PLUS, cfg, n, threads=2, dW=dW)
     assert err.value.trajectory_indices == blown
     assert err.value.trajectory_index == 4
     pids = log.read_text().split()
@@ -319,9 +320,10 @@ def test_blowup_reports_every_trajectory_in_global_indices(monkeypatch,
 
 def test_a_dying_worker_raises_instead_of_hanging(monkeypatch):
     monkeypatch.setattr(kernels, "simulate_chunk", lambda *a, **k: os._exit(3))
+    monkeypatch.setattr(sde, "_CHUNK", 8)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
     with pytest.raises(BrokenProcessPool):
-        simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2, chunk_size=8)
+        simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2)
 
 
 @pytest.mark.parametrize("n_chunks, chunk_bytes, threads", [
@@ -330,12 +332,11 @@ def test_a_dying_worker_raises_instead_of_hanging(monkeypatch):
 def test_batch_layout_takes_whole_chunks_under_the_byte_cap(n_chunks,
                                                             chunk_bytes,
                                                             threads):
-    batches, workers = sde._batch_layout(n_chunks, chunk_bytes, threads)
+    batches = sde._batch_layout(n_chunks, chunk_bytes, threads)
     # consecutive runs of whole chunks covering every chunk once
     assert batches[0][0] == 0 and batches[-1][1] == n_chunks
     assert all(c1 > c0 for c0, c1 in batches)
     assert all(a[1] == b[0] for a, b in zip(batches, batches[1:]))
-    assert workers == min(max(threads, 1), len(batches))
     per_batch = -(-n_chunks // max(threads, 1))
     for c0, c1 in batches:
         assert c1 - c0 <= per_batch
@@ -345,6 +346,22 @@ def test_batch_layout_takes_whole_chunks_under_the_byte_cap(n_chunks,
         assert all(c1 - c0 == per_batch for c0, c1 in batches[:-1])
 
 
+def test_fork_map_starts_no_more_workers_than_items(monkeypatch):
+    import concurrent.futures
+
+    pool = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def recording(max_workers, **kwargs):
+        started.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    assert list(sde._fork_map(abs, [-1, -2], 8)) == [1, 2]
+    assert list(sde._fork_map(abs, [-3], 8)) == [3]
+    assert started == [2]
+
+
 def test_one_thread_or_one_batch_starts_no_process(monkeypatch):
     def no_fork():
         raise AssertionError("forked")
@@ -352,21 +369,22 @@ def test_one_thread_or_one_batch_starts_no_process(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
     # eight chunks in one process; one chunk leaves one batch at threads=4
-    simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=1, chunk_size=8)
     simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=4)
+    monkeypatch.setattr(sde, "_CHUNK", 8)
+    simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=1)
     with pytest.raises(AssertionError, match="forked"):
-        simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2, chunk_size=8)
+        simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2)
 
 
-def test_callers_on_many_threads_each_fork_their_own_job():
+def test_callers_on_many_threads_each_fork_their_own_job(monkeypatch):
     # _fork_map hands a pool its job through one module global, so four
     # threads forking pools at once, with a short switch interval, must
     # each get their own model's bits
     models = [Unraveling(random_model(np.random.default_rng(k), 2, n_ops=1),
                          "standard") for k in range(4)]
     cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=3)
-    serial = [simulate_ensemble(u, PLUS, cfg, 64, chunk_size=8).rho_hat
-              for u in models]
+    monkeypatch.setattr(sde, "_CHUNK", 8)
+    serial = [simulate_ensemble(u, PLUS, cfg, 64).rho_hat for u in models]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -375,7 +393,7 @@ def test_callers_on_many_threads_each_fork_their_own_job():
 
             def run(k):
                 forked[k] = simulate_ensemble(models[k], PLUS, cfg, 64,
-                                              threads=2, chunk_size=8).rho_hat
+                                              threads=2).rho_hat
 
             callers = [threading.Thread(target=run, args=(k,))
                        for k in range(len(models))]
@@ -392,13 +410,14 @@ def test_callers_on_many_threads_each_fork_their_own_job():
 
 def _final_states_at_two_threads():
     cfg = IntegrationConfig(dt=1e-2, t_final=0.1, seed=4)
-    return simulate_ensemble(DEPHASING, PLUS, cfg, 64, threads=2,
-                             chunk_size=8).final_states
+    return simulate_ensemble(DEPHASING, PLUS, cfg, 64,
+                             threads=2).final_states
 
 
-def test_a_daemonic_worker_runs_its_batches_in_process():
+def test_a_daemonic_worker_runs_its_batches_in_process(monkeypatch):
     # a daemonic process may not start children, so a caller's own pool
     # worker asking for threads=2 runs every batch itself
+    monkeypatch.setattr(sde, "_CHUNK", 8)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.apply_async(_final_states_at_two_threads).get(60)
     assert np.array_equal(inside, _final_states_at_two_threads())
@@ -441,12 +460,12 @@ def test_trajectories_stop_at_the_last_record_step(monkeypatch, given_dW):
         return kernel(psi0, K, rotated, dt, dW, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "simulate_chunk", counting)
+    monkeypatch.setattr(sde, "_CHUNK", 32)
     runs = []
     for cfg in (long, short):
-        chunks = ([dW[:32, :cfg.n_steps], dW[32:, :cfg.n_steps]] if given_dW
-                  else None)
-        runs.append(simulate_ensemble(DEPHASING, PLUS, cfg, 64, chunk_size=32,
-                                      dW_chunks=chunks, record_steps=[250]))
+        given = dW[:, :cfg.n_steps] if given_dW else None
+        runs.append(simulate_ensemble(DEPHASING, PLUS, cfg, 64, dW=given,
+                                      record_steps=[250]))
     assert steps == [250, 250]
     assert runs[0].rho_hat.tobytes() == runs[1].rho_hat.tobytes()
 
@@ -469,7 +488,7 @@ def test_block_drawn_increments_equal_one_draw(steps, noise_count):
 
 
 @pytest.mark.parametrize("n", [601, 2100])
-def test_batched_ensemble_is_thread_count_invariant(n):
+def test_batched_ensemble_is_thread_count_invariant(n, monkeypatch):
     # Chunks of 128 make 5 and 17 chunks: threads=2 runs batches of 3 + 2
     # and 9 + 8 chunks, threads=4 batches of 2 + 2 + 1 and 5 + 5 + 5 + 2,
     # each batch in a worker process of its own.
@@ -477,38 +496,42 @@ def test_batched_ensemble_is_thread_count_invariant(n):
     u = Unraveling(model, "standard")
     psi0 = verify.random_state(np.random.default_rng(5), 4)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.2, seed=31, record_stride=3)
+    monkeypatch.setattr(sde, "_CHUNK", 128)
     runs = [simulate_ensemble(u, psi0, cfg, n, threads=threads,
-                              reducers=P0_SQUARED, chunk_size=128)
+                              reducers=P0_SQUARED)
             for threads in (1, 2, 4)]
     for run in runs[1:]:
         assert ensemble_bytes(run) == ensemble_bytes(runs[0])
 
 
-def test_a_one_trajectory_batch_is_thread_count_invariant():
+def test_a_one_trajectory_batch_is_thread_count_invariant(monkeypatch):
     # 257 trajectories in chunks of 128 leave a last chunk of one, which
     # threads=3 runs as a batch of its own
+    monkeypatch.setattr(sde, "_CHUNK", 128)
     cfg = IntegrationConfig(dt=1e-2, t_final=0.3, seed=5, record_stride=10)
     psi0 = verify.random_state(np.random.default_rng(6), 2)
     runs = [simulate_ensemble(DEPHASING, psi0, cfg, 257, threads=threads,
-                              chunk_size=128, reducers=P0_SQUARED)
+                              reducers=P0_SQUARED)
             for threads in (1, 3)]
     assert ensemble_bytes(runs[1]) == ensemble_bytes(runs[0])
     # and a lone trajectory takes the bits of its row in the ensemble
-    lone = sde._simulate(DEPHASING, psi0, cfg, 256, 1, cfg.record_steps())[0]
+    lone = kernels.simulate_chunk(
+        psi0, DEPHASING.K, DEPHASING.rotated, cfg.dt,
+        sde._Increments(cfg.seed, 256, 1, cfg.n_steps, 1, cfg.dt), True,
+        cfg.record_steps())[0]
     assert lone[0, -1].tobytes() == runs[0].final_states[256].tobytes()
 
 
-def test_given_increments_are_thread_count_invariant():
+def test_given_increments_are_thread_count_invariant(monkeypatch):
     # 1000 trajectories in chunks of 96 end in a ragged chunk of 40; the
-    # workers read their chunks of dW from the memory they were forked with
+    # workers read their rows of dW from the memory they were forked with
     cfg = IntegrationConfig(dt=2e-2, t_final=0.4, seed=5, record_stride=5)
-    n, chunk = 1000, 96
+    n = 1000
+    monkeypatch.setattr(sde, "_CHUNK", 96)
     rng = np.random.default_rng(77)
     dW = rng.normal(0.0, np.sqrt(cfg.dt), size=(n, cfg.n_steps, 1))
-    chunks = [dW[lo:lo + chunk] for lo in range(0, n, chunk)]
     runs = [simulate_ensemble(DEPHASING, PLUS, cfg, n, threads=threads,
-                              reducers=P0_SQUARED, chunk_size=chunk,
-                              dW_chunks=chunks)
+                              reducers=P0_SQUARED, dW=dW)
             for threads in (1, 2, 4)]
     for run in runs[1:]:
         assert ensemble_bytes(run) == ensemble_bytes(runs[0])
@@ -529,8 +552,7 @@ def test_a_real_orthogonal_member_is_the_standard_one_on_rotated_noise():
 
     def final_states(freedom, increments):
         return simulate_ensemble(Unraveling(model, freedom), psi0, cfg, n,
-                                 chunk_size=n,
-                                 dW_chunks=[increments]).final_states
+                                 dW=increments).final_states
 
     mixed = final_states(UnitaryFreedom(matrix=O.astype(complex)), dW)
     assert np.abs(mixed - final_states("standard", dW @ O)).max() < 1e-12
@@ -563,25 +585,18 @@ def test_record_steps_override():
             simulate_ensemble(DEPHASING, PLUS, cfg, 4, record_steps=bad)
 
 
-def test_dw_chunks_reproduce_default_streams():
+def test_dw_chunks_reproduce_default_streams(monkeypatch):
     # 300 steps cross two step-block boundaries
     cfg = IntegrationConfig(dt=1e-3, t_final=0.3, seed=13)
     n, chunk = 30, 16
-    chunks = []
-    lo = 0
-    while lo < n:
-        count = min(chunk, n - lo)
-        dW = np.empty((count, cfg.n_steps, 1))
-        for i in range(count):
-            rng = trajectory_rng(cfg.seed, lo + i)
-            dW[i] = rng.normal(0.0, np.sqrt(cfg.dt), size=(cfg.n_steps, 1))
-        chunks.append(dW)
-        lo += count
-    explicit = simulate_ensemble(DEPHASING, PLUS, cfg, n, chunk_size=chunk,
-                                 dW_chunks=chunks)
-    default = simulate_ensemble(DEPHASING, PLUS, cfg, n, chunk_size=chunk)
+    monkeypatch.setattr(sde, "_CHUNK", chunk)
+    dW = np.empty((n, cfg.n_steps, 1))
+    for i in range(n):
+        rng = trajectory_rng(cfg.seed, i)
+        dW[i] = rng.normal(0.0, np.sqrt(cfg.dt), size=(cfg.n_steps, 1))
+    explicit = simulate_ensemble(DEPHASING, PLUS, cfg, n, dW=dW)
+    default = simulate_ensemble(DEPHASING, PLUS, cfg, n)
     assert np.array_equal(explicit.final_states, default.final_states)
     assert np.array_equal(explicit.rho_hat, default.rho_hat)
-    with pytest.raises(ValueError, match="chunk layout"):
-        simulate_ensemble(DEPHASING, PLUS, cfg, n, chunk_size=chunk,
-                          dW_chunks=chunks[:1])
+    with pytest.raises(ValueError, match="16 rows for 30 trajectories"):
+        simulate_ensemble(DEPHASING, PLUS, cfg, n, dW=dW[:chunk])

@@ -415,6 +415,12 @@ BAD_ENTRIES = [
       if k != "trajectories"}, "missing required field 'trajectories'"),
     ({k: v for k, v in suite_entry("unraveling-equivalence").items()
       if k != "trajectories"}, "missing required field 'trajectories'"),
+    # an ensemble without psi0 or an integration block has nothing to run
+    *[({k: v for k, v in entry.items() if k != key},
+       f"missing required field '{key}'")
+      for entry in (suite_entry("ensemble-vs-exact", checkpoints=[0.1]),
+                    suite_entry("unraveling-equivalence"))
+      for key in ("psi0", "integration")],
 ]
 
 
