@@ -6,12 +6,10 @@ exact Lindblad propagation as the oracle and verification checks for
 ensemble equivalence, Born statistics, and complete positivity.
 """
 
-from .hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, expectation, outer,
-                      trace_distance)
+from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, outer, trace_distance
 from .lindblad import (GKSForm, LindbladModel, choi_matrix, gks_to_lindblad,
                        lindblad_rhs, liouvillian, propagate_exact)
-from .observables import (born_statistics, diffusion_matrix, variance,
-                          variance_drift)
+from .observables import born_statistics, diffusion_matrix, variance
 from .sde import EnsembleEstimate, IntegrationConfig, simulate_ensemble
 from .unraveling import (UnitaryFreedom, Unraveling, diffusion_vectors,
                          parse_freedom)
@@ -19,10 +17,10 @@ from .unraveling import (UnitaryFreedom, Unraveling, diffusion_vectors,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "dagger", "expectation", "outer",
-    "trace_distance", "GKSForm", "LindbladModel", "choi_matrix",
-    "gks_to_lindblad", "lindblad_rhs", "liouvillian", "propagate_exact",
-    "born_statistics", "diffusion_matrix", "variance", "variance_drift",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "dagger", "outer", "trace_distance",
+    "GKSForm", "LindbladModel", "choi_matrix", "gks_to_lindblad",
+    "lindblad_rhs", "liouvillian", "propagate_exact", "born_statistics",
+    "diffusion_matrix", "variance",
     "EnsembleEstimate", "IntegrationConfig", "simulate_ensemble",
     "UnitaryFreedom", "Unraveling", "diffusion_vectors", "parse_freedom",
 ]

@@ -207,6 +207,8 @@ def cmd_diagonalize(args):
     if scenario.gks is None:
         raise ScenarioError("diagonalize needs a gks block")
     rates, ops = lindblad.gks_to_lindblad(scenario.gks)
+    if not np.isfinite(rates).all():    # JSON has no Infinity
+        raise ScenarioError(f"gks: kossakowski eigenvalues overflow: {rates}")
     os.makedirs(args.out, exist_ok=True)
     payload = {
         "config_hash": _scenario_hash(scenario, 0),
@@ -223,11 +225,17 @@ def cmd_choi(args):
     if not 0 < args.time < np.inf:
         raise ScenarioError(f"--time must be positive and finite, "
                             f"got {args.time}")
+    try:
+        if scenario.gks is not None:
+            choi = lindblad.gks_choi_matrix(scenario.gks, args.time)
+        else:
+            choi = lindblad.choi_matrix(scenario.model(), args.time)
+    except ValueError as exc:
+        # a propagator that is not finite; LinAlgError passes through
+        if type(exc) is not ValueError:
+            raise
+        raise ScenarioError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
-    if scenario.gks is not None:
-        choi = lindblad.gks_choi_matrix(scenario.gks, args.time)
-    else:
-        choi = lindblad.choi_matrix(scenario.model(), args.time)
     min_eig = float(np.linalg.eigvalsh(choi)[0])
     payload = {
         "config_hash": _scenario_hash(scenario, 0),

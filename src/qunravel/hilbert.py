@@ -44,9 +44,11 @@ def dagger(M):
 
 
 def hermiticity_defect(M):
-    """Max entrywise |M - M^dag| (diagnostic, never repaired silently)."""
+    """Max entrywise |M - M^dag| (diagnostic, never repaired silently); NaN
+    when an entry is NaN or infinite."""
     M = np.asarray(M)
-    return float(np.max(np.abs(M - dagger(M)))) if M.size else 0.0
+    with np.errstate(invalid="ignore"):     # inf - inf
+        return float(np.max(np.abs(M - dagger(M)))) if M.size else 0.0
 
 
 def is_hermitian(M):
@@ -67,13 +69,6 @@ def normalize(psi):
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return np.asarray(psi, dtype=complex) / n
-
-
-def expectation(psi, M):
-    """<psi, M psi>.  Complex in general; real for Hermitian M."""
-    psi = as_state(psi)
-    M = as_operator(M, dim=psi.size)
-    return complex(np.vdot(psi, M @ psi))
 
 
 def outer(psi, phi):

@@ -22,11 +22,12 @@ shape (batch, steps, N), advance each trajectory with
 
 optionally renormalizing after each step.  dW is read one block of
 :data:`STEP_BLOCK` steps at a time, as ``dW[:, s0:s1]``, so it may be an
-array or an object that draws each block on demand.  Outputs per trajectory:
-the states at the requested record steps (or, with ``on_record``, one call
-per record step instead), the max and mean pre-renormalization deviation
-|  ||psi'||^2 - 1 |, and a status flag: 1 when the pre-renormalization norm
-fell below the blow-up floor, was NaN or was infinite at any step, else 0.
+array or an object that draws each block on demand.  The states at the
+requested record steps go out only through the ``on_record`` hook, one call
+per record step.  Outputs per trajectory: the state after the last step,
+the max and mean pre-renormalization deviation |  ||psi'||^2 - 1 |, and a
+status flag: 1 when the pre-renormalization norm fell below the blow-up
+floor, was NaN or was infinite at any step, else 0.
 A flagged trajectory is not frozen: it runs on, and its states and drifts
 are meaningless; the library's callers raise on any flag.
 
@@ -124,11 +125,11 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
     on_record : None or a callable ``on_record(r, psi)`` given the states
         at record step r as a read-only (d, batch) view, column b holding
         trajectory b: the kernel's own component-major layout, not copied;
-        when set, no states are stored
+        without it only the final states come out
 
     Returns
     -------
-    states : (batch, R, d) complex, or None when on_record is given
+    final : (batch, d) complex, the states after the last step of dW
     drift_max : (batch,) float, max per-step |  ||psi'||^2 - 1 |
     drift_mean : (batch,) float, mean per-step |  ||psi'||^2 - 1 |
     status : (batch,) uint8, 1 where a norm blew up (see module docstring)
@@ -142,13 +143,7 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
         raise ValueError(f"dW of shape {np.shape(dW)} must have {len(rotated)}"
                          f" noise channels and reach every record step")
     d = psi0.size
-    R = record_steps.size
-    states = None
-    if on_record is None:
-        states = np.zeros((batch, R, d), dtype=np.complex128)
-
-        def on_record(r, psi):
-            states[:, r, :] = psi.T
+    R = record_steps.size if on_record else 0   # record steps handed out
     # numpy hands a one-row product to gemv, whose bits differ from a row of
     # gemm's; a lone trajectory is stepped beside a noiseless copy instead
     width = max(batch, 2)
@@ -194,5 +189,5 @@ def simulate_chunk(psi0, K, rotated, dt, dW, renormalize, record_steps,
                     rec += 1
     # an infinite norm at any step left an infinite drift_max
     status = ~(above & (drift_max < np.inf))
-    return (states, drift_max[:batch], drift_sum[:batch] / steps,
-            status[:batch].astype(np.uint8))
+    return (psi[:, :batch].T.copy(), drift_max[:batch],
+            drift_sum[:batch] / steps, status[:batch].astype(np.uint8))

@@ -98,17 +98,18 @@ class GKSForm:
         d = H.shape[0]
         if not hilbert.is_hermitian(H):
             raise ValueError("GKS Hamiltonian must be Hermitian")
-        if abs(np.trace(H)) > TOL.hermitian:
+        # each check is written so that NaN fails it
+        if not abs(np.trace(H)) <= TOL.hermitian:
             raise ValueError("GKS Hamiltonian must be traceless")
         basis = self.basis_ops or tuple(gell_mann_basis(d))
         basis = tuple(hilbert.as_operator(F, dim=d) for F in basis)
         flat = np.reshape(basis, (len(basis), d * d))
         traces = flat[:, ::d + 1].sum(axis=1)
-        bad = np.flatnonzero(np.abs(traces) > TOL.hermitian)
+        bad = np.flatnonzero(~(np.abs(traces) <= TOL.hermitian))
         if bad.size:
             raise ValueError(f"basis op {bad[0]} is not traceless")
         gram = flat.conj() @ flat.T         # Tr(F_a^dag F_b)
-        bad = np.argwhere(np.abs(gram - np.eye(len(basis))) > 1e-10)
+        bad = np.argwhere(~(np.abs(gram - np.eye(len(basis))) <= 1e-10))
         if bad.size:
             a, b = bad[0]
             raise ValueError(f"basis ops {a},{b} not orthonormal: {gram[a, b]}")
@@ -116,8 +117,9 @@ class GKSForm:
         if c.shape != (len(basis), len(basis)):
             raise ValueError(
                 f"kossakowski shape {c.shape} does not match basis size {len(basis)}")
-        if hilbert.hermiticity_defect(c) > TOL.hermitian:
-            raise ValueError("kossakowski matrix must be Hermitian")
+        if not hilbert.hermiticity_defect(c) <= TOL.hermitian:
+            raise ValueError("kossakowski matrix must be finite and "
+                             "Hermitian")
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "kossakowski", c)
         object.__setattr__(self, "basis_ops", basis)
@@ -310,9 +312,12 @@ _BLOCK = 64
 
 def _expm(A, t):
     """exp(t A), A real and overwritten, by degree-13 Pade scaling and
-    squaring; c X terms go through a _BLOCK-row scratch: 6 n x n live."""
+    squaring; c X terms go through a _BLOCK-row scratch: 6 n x n live.
+    Raises ValueError when tA's norm or exp(t A) is not finite."""
     b = _PADE13
     norm = t * np.linalg.norm(A, 1)
+    if not norm < np.inf:       # NaN too: no scaling brings it into range
+        raise ValueError(f"the propagator at t={t} overflows")
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     A *= t / 2.0 ** s
     A2 = A @ A
@@ -344,6 +349,9 @@ def _expm(A, t):
     del A, P, Z
     for _ in range(s):          # into V's freed buffer, not a new array
         R, V = np.matmul(R, R, out=V), R
+    # max carries a NaN through; min and max read R in place, with no copy
+    if not (np.isfinite(R.min()) and np.isfinite(R.max())):
+        raise ValueError(f"the propagator at t={t} overflows")
     return R
 
 
@@ -358,7 +366,8 @@ def _choi(t, d, build_superop):
     # conjugates of those of the p ones, so the result is exactly Hermitian.
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")
-    return _choi_of(_expm(_real_superop(build_superop(), d), t), d)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _expm
+        return _choi_of(_expm(_real_superop(build_superop(), d), t), d)
 
 
 def _choi_of(R, d):

@@ -1,6 +1,6 @@
-"""Derived quantities: collapse variance and its drift law, the real-coordinate
-Fokker-Planck diffusion matrix at a point, and Born-statistics
-classification of trajectory ensembles.
+"""Derived quantities: collapse variance, the real-coordinate Fokker-Planck
+diffusion matrix at a point, and Born-statistics classification of
+trajectory ensembles.
 """
 
 from dataclasses import dataclass
@@ -35,17 +35,6 @@ def _variance(psi, L):
     mean = np.sum(np.conj(psi) * Lpsi, axis=-1).real
     second = np.sum(np.abs(Lpsi) ** 2, axis=-1)
     return second - mean * mean
-
-
-def variance_drift(psi, L, f):
-    """Deterministic part of dV for the scalar-phase family: -4 cos^2(f) V^2.
-
-    Vanishes at f = pi/2 (the linear unraveling does not collapse) and is
-    maximal at f = 0.
-    """
-    v = variance(psi, L)
-    c = np.cos(f)
-    return -4.0 * c * c * v * v
 
 
 def _real_coords(vec):

@@ -160,9 +160,11 @@ def _integration(raw):
         raise ScenarioError(f"integration: {exc}") from None
 
 
-_SCENARIO_KEYS = ("dim", "hamiltonian", "lindblad_ops", "freedom", "psi0",
-                  "integration", "trajectories", "checkpoints", "gks",
-                  "variance_phases")
+# a model's keys, and every key a scenario may have
+MODEL_KEYS = ("dim", "hamiltonian", "lindblad_ops")
+SCENARIO_KEYS = MODEL_KEYS + ("freedom", "psi0", "integration",
+                              "trajectories", "checkpoints", "gks",
+                              "variance_phases")
 
 
 # the keys every ensemble run needs: without "trajectories" one trajectory
@@ -170,10 +172,10 @@ _SCENARIO_KEYS = ("dim", "hamiltonian", "lindblad_ops", "freedom", "psi0",
 ENSEMBLE_KEYS = ("trajectories", "psi0", "integration")
 
 
-def scenario_from_dict(data, extra=(), required=()):
-    """The Scenario of a JSON object whose keys are _SCENARIO_KEYS or extra;
-    each key in required must be in it."""
-    _known(data, _SCENARIO_KEYS + tuple(extra))
+def scenario_from_dict(data, keys=SCENARIO_KEYS, required=()):
+    """The Scenario of a JSON object each of whose keys is in keys; each
+    key in required must be in it."""
+    _known(data, keys)
     for key in required:
         _require(data, key)
     dim = _integer(_require(data, "dim"), "dim")

@@ -13,9 +13,9 @@ and its per-chunk sums would pass ``_BATCH_BYTES``.  It runs as one kernel
 call, which draws its increments one step block at a time.  At every record
 step the kernel hands over its component-major (d, batch) states, and each
 reducer, the projectors behind ``rho_hat`` first, sums every chunk of them
-in place (``_chunk_sums``).  The chunk sums are added in chunk order, so
-neither the (batch, steps, N) increments nor the (batch, R, d) states are
-ever held.
+in place (``_chunk_sums``); the kernel returns the final states itself.
+The chunk sums are added in chunk order, so neither the (batch, steps, N)
+increments nor the (batch, R, d) states are ever held.
 
 With ``threads`` > 1 and more than one batch, ``_fork_map`` (which also
 runs the CLI's ``choi.json`` tasks) runs the batches in at most ``threads``
@@ -112,7 +112,6 @@ class EnsembleEstimate:
     rho_hat: np.ndarray         # (len(times), d, d)
     n_trajectories: int
     std_error: np.ndarray       # per-time 1/sqrt(M)-scale error estimate
-    seed: int
     norm_drift_max: float
     norm_drift: np.ndarray = None      # (M,) per-trajectory max deviation
     norm_drift_mean: np.ndarray = None # (M,) per-trajectory mean deviation
@@ -204,7 +203,7 @@ def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW):
     """The function that runs one batch (c0, c1) of the chunks, on dW's
     rows or else on their Philox streams, and returns the (chunks, R, ...)
     sums of each (function, template sum) reducer, the global indices of
-    its blown-up trajectories, its drifts and end states."""
+    its blown-up trajectories, its drifts and final states."""
     R = record_steps.size
     steps = int(record_steps[-1])
 
@@ -213,19 +212,16 @@ def _batch_job(u, psi0, cfg, edges, record_steps, reducers, dW):
         lo, hi = edges[c0], edges[c1]
         sums = {name: np.empty((c1 - c0, R) + template.shape, template.dtype)
                 for name, (_, template) in reducers.items()}
-        finals = np.empty((hi - lo, u.dim), dtype=complex)
 
         def on_record(r, psi):
             # each chunk is summed at every record step, so that a batch
             # holds its per-chunk sums but never its states
             for name, (reduce, _) in reducers.items():
                 _chunk_sums(psi, _CHUNK, reduce, sums[name][:, r])
-            if r == R - 1:
-                finals[:] = psi.T
 
         increments = (_Increments(cfg.seed, lo, hi - lo, steps, u.noise_count,
                                   cfg.dt) if dW is None else dW[lo:hi, :steps])
-        _, drifts, drift_means, status = kernels.simulate_chunk(
+        finals, drifts, drift_means, status = kernels.simulate_chunk(
             psi0, u.K, u.rotated, cfg.dt, increments, cfg.renormalize,
             record_steps, fault=u.fault, on_record=on_record)
         return sums, lo + np.nonzero(status)[0], drifts, drift_means, finals
@@ -364,7 +360,7 @@ def simulate_ensemble(u, psi0, cfg, n_trajectories, threads=1,
     std_error = np.sqrt(np.maximum(0.0, 1.0 - frob2) / n_trajectories)
     return EnsembleEstimate(times=record_steps * cfg.dt, rho_hat=rho_hat,
                             n_trajectories=n_trajectories,
-                            std_error=std_error, seed=cfg.seed,
+                            std_error=std_error,
                             norm_drift_max=float(np.max(drifts)),
                             norm_drift=drifts, norm_drift_mean=drift_means,
                             final_states=finals, means=means)

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import hilbert, lindblad, sde
-from .scenario import (ENSEMBLE_KEYS, ScenarioError, _integer, _known,
-                       _number, _numbers, _require, complex_to_pairs,
+from .scenario import (ENSEMBLE_KEYS, MODEL_KEYS, ScenarioError, _integer,
+                       _known, _number, _numbers, _require, complex_to_pairs,
                        read_json, scenario_from_dict)
 from .tolerances import TOL
 from .unraveling import Unraveling, generator_term
@@ -79,8 +79,6 @@ def config_hash(config):
 
 
 def _freedom_config(freedom):
-    if isinstance(freedom, str):
-        return freedom
     if freedom.matrix is not None:
         return {"matrix": complex_to_pairs(freedom.matrix)}
     return {"phase": freedom.phase}
@@ -308,19 +306,23 @@ def _names(values, name, null=False):
                         f"{' or nulls' if null else ''}, got {values!r}")
 
 
-# the keys each check reads besides a scenario's, "check" and "expect"
-_CHECK_KEYS = {"generator-identity": ("samples", "seed", "fault"),
-               "ensemble-vs-exact": (),
-               "unraveling-equivalence": ("freedoms", "t", "faults"),
-               "complete-positivity": ("times",)}
+# the keys each check reads besides the model's, "check" and "expect": a
+# scenario key it does not read is rejected, not silently ignored
+_CHECK_KEYS = {
+    "generator-identity": ("freedom", "samples", "seed", "fault"),
+    "ensemble-vs-exact": ("freedom",) + ENSEMBLE_KEYS + ("checkpoints",),
+    "unraveling-equivalence": ("freedom",) + ENSEMBLE_KEYS
+                              + ("freedoms", "t", "faults"),
+    "complete-positivity": ("gks", "times")}
 
 
 def _run_check(kind, entry, threads):
     if not isinstance(kind, str) or kind not in _CHECK_KEYS:
         raise ScenarioError(f"unknown check type {kind!r}")
     ensemble = kind in ("ensemble-vs-exact", "unraveling-equivalence")
-    sc = scenario_from_dict(entry, ("check", "expect") + _CHECK_KEYS[kind],
-                            ENSEMBLE_KEYS if ensemble else ())
+    sc = scenario_from_dict(
+        entry, ("check", "expect") + MODEL_KEYS + _CHECK_KEYS[kind],
+        ENSEMBLE_KEYS if ensemble else ())
     if kind == "generator-identity":
         return check_generator_identity(
             sc.model(), sc.freedom_spec,
@@ -348,9 +350,10 @@ def run_suite(config, threads=1):
     """Execute the named checks of a suite configuration in declared order.
 
     config is a dict (or a path to a JSON file) with a non-empty "checks"
-    list of objects, each scenario fields with "check", optional "expect"
+    list of objects, each the model fields with "check", optional "expect"
     ("pass" by default, "fail" for fault-injection entries) and the fields
-    its check reads; any other shape or key, or any other expect, raises
+    its check reads (``_CHECK_KEYS``); any other shape or key, such as a
+    scenario field the check does not read, or any other expect, raises
     ScenarioError.  An entry the checks reject as input
     (an unknown fault, a faults list that does not match the freedoms, a
     checkpoint off the step grid or not positive, an ensemble check without

@@ -48,6 +48,19 @@ def gks_block():
     }
 
 
+# the scenario keys a generator-identity or complete-positivity check does
+# not read, and so rejects
+UNREAD = {"generator-identity": ("psi0", "integration", "trajectories", "gks"),
+          "complete-positivity": ("freedom", "psi0", "integration",
+                                  "trajectories")}
+
+
+def trimmed(entry):
+    """A suite entry without the scenario keys its check does not read."""
+    unread = UNREAD.get(entry["check"], ())
+    return {key: value for key, value in entry.items() if key not in unread}
+
+
 def write(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -147,7 +160,8 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command,
                                                   flag):
     data = dict(small_scenario(), gks=gks_block())
     if command == "verify":
-        data = {"checks": [dict(data, check="generator-identity", samples=5)]}
+        data = {"checks": [trimmed(dict(data, check="generator-identity",
+                                        samples=5))]}
     scn = write(tmp_path, data)
     # the scenario is one the command runs without the flag
     assert cli.main([command, "--scenario", scn,
@@ -218,7 +232,8 @@ def test_verify_suite_pass_and_fail_exit_codes(tmp_path, capsys):
      "check 'ensemble-vs-exact': trajectories: must be a positive integer"),
 ])
 def test_bad_suite_entry_exits_2(tmp_path, capsys, fields, message):
-    scn = write(tmp_path, {"checks": [small_scenario(**fields)]}, "suite.json")
+    scn = write(tmp_path, {"checks": [trimmed(small_scenario(**fields))]},
+                "suite.json")
     out = tmp_path / "out"
     assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -724,12 +739,105 @@ def test_an_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, data,
 def test_a_matrix_list_that_is_not_a_list_exits_2(tmp_path, capsys, command,
                                                   data, message):
     if command == "verify":
-        data = {"checks": [dict(data, check="complete-positivity")]}
+        data = {"checks": [trimmed(dict(data, check="complete-positivity"))]}
         message = f"check 'complete-positivity': {message}"
     scn = write(tmp_path, data)
     out = tmp_path / "out"
     assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each scenario key the bundled entry's check does not read
+@pytest.mark.parametrize("check, key", [
+    *[("generator-identity", key) for key in (
+        "psi0", "integration", "trajectories", "checkpoints", "gks",
+        "variance_phases")],
+    ("ensemble-vs-exact", "gks"), ("ensemble-vs-exact", "variance_phases"),
+    *[("unraveling-equivalence", key) for key in (
+        "checkpoints", "gks", "variance_phases")],
+    *[("complete-positivity", key) for key in (
+        "freedom", "psi0", "integration", "trajectories", "checkpoints",
+        "variance_phases")]])
+def test_a_suite_entry_key_its_check_does_not_read_exits_2(tmp_path, capsys,
+                                                           check, key):
+    # an unread key would be ignored without a word: checkpoints added to
+    # an unraveling-equivalence entry would leave it checked at t alone
+    donor = dict(bundled("dephasing.json"), gks=gks_block(),
+                 checkpoints=[0.1, 0.5])
+    entry = next(e for e in bundled("default_suite.json")["checks"]
+                 if e["check"] == check)
+    assert key not in entry
+    entry[key] = donor[key]
+    scn = write(tmp_path, {"checks": [entry]}, "suite.json")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--scenario", scn, "--out", str(out)]) == 2
+    assert (f"error: check {check!r}: unknown key {key!r}\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command", ["diagonalize", "choi", "verify"])
+@pytest.mark.parametrize("part, value", [
+    ("kossakowski", NAN), ("kossakowski", INF), ("basis", NAN),
+    ("hamiltonian", NAN)])
+def test_a_gks_form_with_non_finite_data_exits_2(tmp_path, capsys, command,
+                                                 part, value):
+    # NaN fails no "x > tol" check: diag(NaN, 1, 1) was diagonalized into
+    # rates [NaN, 1, 1], which is not JSON
+    gks = {"hamiltonian": np.zeros((2, 2)), "kossakowski": np.eye(3),
+           "basis": lindblad.gell_mann_basis(2)}
+    gks[part] = np.array(gks[part], dtype=complex)
+    target = gks[part][0] if part == "basis" else gks[part]
+    target[0, 0] = value
+    data = {"dim": 2, "hamiltonian": complex_to_pairs(np.zeros((2, 2))),
+            "lindblad_ops": [], "gks": {
+                "hamiltonian": complex_to_pairs(gks["hamiltonian"]),
+                "kossakowski": complex_to_pairs(gks["kossakowski"]),
+                "basis": [complex_to_pairs(F) for F in gks["basis"]]}}
+    if command == "verify":
+        data = {"checks": [dict(data, check="complete-positivity")]}
+    scn = write(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+HUGE = complex_to_pairs(np.diag([1e300, -1e300]).astype(complex))
+# a PSD Kossakowski matrix whose superoperator's norm overflows
+NEAR_MAX = complex_to_pairs(np.array([[1.7e308, 1.7e308, 0],
+                                      [1.7e308, 1.7e308, 0],
+                                      [0, 0, 1]], dtype=complex))
+
+
+NEAR_MAX_GKS = small_scenario(gks={
+    "hamiltonian": complex_to_pairs(np.zeros((2, 2))), "kossakowski": NEAR_MAX})
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("choi", small_scenario(hamiltonian=HUGE), "propagator at t=1"),
+    ("choi", NEAR_MAX_GKS, "propagator at t=1"),
+    ("verify", {"checks": [{
+        "check": "complete-positivity", "dim": 2,
+        "hamiltonian": complex_to_pairs(np.zeros((2, 2))), "lindblad_ops": [],
+        "gks": dict(gks_block(), hamiltonian=HUGE)}]}, "propagator at t=1"),
+    ("diagonalize", NEAR_MAX_GKS, "kossakowski eigenvalues overflow")])
+def test_a_generator_that_overflows_exits_2(tmp_path, capsys, command, data,
+                                            message):
+    # exp(t L) of a generator near the float range is not finite: eigvalsh
+    # of its Choi matrix raised LinAlgError, or the scaling step
+    # OverflowError, each exiting 1 like a failed verification; an infinite
+    # rate was written to diagonal.json as Infinity, which is not JSON
+    scn = write(tmp_path, data)
+    out = tmp_path / "out"
+    args = ["--time", "1"] if command == "choi" else []
+    assert cli.main([command, "--scenario", scn, "--out", str(out),
+                     *args]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

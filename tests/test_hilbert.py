@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from qunravel import hilbert
 from qunravel.hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator, dagger,
-                              check_linear_independence, expectation,
-                              hermiticity_defect, is_hermitian, is_normalized,
-                              norm2, normalize, outer, trace_distance)
+                              check_linear_independence, hermiticity_defect,
+                              is_hermitian, is_normalized, norm2, normalize,
+                              outer, trace_distance)
 from qunravel.tolerances import TOL
 
 
@@ -71,12 +71,6 @@ def test_normalize_and_norm2():
     assert is_normalized(normalize(psi))
     with pytest.raises(ValueError):
         normalize(np.zeros(2))
-
-
-def test_expectation_matches_manual_quadratic_form():
-    psi = normalize(np.array([1.0, 1j]))
-    assert expectation(psi, SIGMA_Y) == pytest.approx(1.0)
-    assert expectation(psi, SIGMA_Z) == pytest.approx(0.0)
 
 
 def test_outer_is_rank_one_projector_on_unit_states():

@@ -20,6 +20,17 @@ from randomized import (random_hermitian, random_model, random_unitary,
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
+def stored(psi0, K, rotated, dt, dW, renormalize, record_steps, fault=None):
+    """simulate_chunk with the states its hook is handed, each view kept
+    past its step, stacked into a (batch, R, d) array that takes the place
+    of the final states in the returned tuple."""
+    seen = []
+    _, drift_max, drift_mean, status = simulate_chunk(
+        psi0, K, rotated, dt, dW, renormalize, record_steps, fault=fault,
+        on_record=lambda r, psi: seen.append(psi.T))
+    return np.stack(seen, axis=1), drift_max, drift_mean, status
+
+
 def dephasing_inputs(batch=8, steps=50, dt=1e-2, seed=0):
     u = Unraveling(LindbladModel(np.zeros((2, 2)), (SIGMA_Z,)), "standard")
     rng = np.random.default_rng(seed)
@@ -69,7 +80,7 @@ def mixed_inputs(batch=8, steps=50, dt=1e-2, seed=0):
 def test_numpy_kernel_matches_reference_loop(inputs, fault, renormalize):
     psi0, K, rotated, dt, dW = inputs(batch=3, steps=20)
     record = np.arange(1, 21, dtype=np.int64)
-    states, drift_max, drift_mean, status = simulate_chunk(
+    states, drift_max, drift_mean, status = stored(
         psi0, K, rotated, dt, dW, renormalize, record, fault=fault)
     assert not status.any()
     for b in range(3):
@@ -84,10 +95,10 @@ def test_numpy_kernel_matches_reference_loop(inputs, fault, renormalize):
 
 def test_recording_selects_requested_steps():
     psi0, K, rotated, dt, dW = dephasing_inputs(batch=2, steps=30)
-    full = simulate_chunk(psi0, K, rotated, dt, dW, True,
-                          np.arange(1, 31, dtype=np.int64))
-    sparse = simulate_chunk(psi0, K, rotated, dt, dW, True,
-                            np.array([10, 30], dtype=np.int64))
+    full = stored(psi0, K, rotated, dt, dW, True,
+                  np.arange(1, 31, dtype=np.int64))
+    sparse = stored(psi0, K, rotated, dt, dW, True,
+                    np.array([10, 30], dtype=np.int64))
     assert np.array_equal(sparse[0][:, 0], full[0][:, 9])
     assert np.array_equal(sparse[0][:, 1], full[0][:, 29])
 
@@ -96,18 +107,18 @@ def test_step_blocks_and_record_hook_do_not_change_states(monkeypatch):
     # 300 steps read as blocks of 128, 128 and 44
     psi0, K, rotated, dt, dW = dephasing_inputs(batch=3, steps=300)
     record = np.arange(1, 301, dtype=np.int64)
-    states, drift_max, drift_mean, _ = simulate_chunk(psi0, K, rotated, dt,
-                                                      dW, True, record)
+    states, drift_max, drift_mean, _ = stored(psi0, K, rotated, dt, dW,
+                                              True, record)
     seen = []
     hooked = simulate_chunk(psi0, K, rotated, dt, dW, True, record,
                             on_record=lambda r, psi: seen.append((r, psi)))
-    assert hooked[0] is None
+    assert np.array_equal(hooked[0], states[:, -1])
     assert [r for r, _ in seen] == list(range(300))
     # the hook gets the kernel's component-major (d, batch) states
     assert np.array_equal(np.stack([psi.T for _, psi in seen], axis=1),
                           states)
     monkeypatch.setattr(kernels, "STEP_BLOCK", 1000)
-    whole = simulate_chunk(psi0, K, rotated, dt, dW, True, record)
+    whole = stored(psi0, K, rotated, dt, dW, True, record)
     for a, b in zip(whole, (states, drift_max, drift_mean)):
         assert np.array_equal(a, b)
 
@@ -139,13 +150,13 @@ def test_leading_rows_do_not_depend_on_the_batch_width(fault, renormalize):
             psi0, K, rotated, dt, dW = random_inputs(d, n_ops, 300, 12,
                                                      seed=d)
             record = np.array([5, 12], dtype=np.int64)
-            wide = simulate_chunk(psi0, K, rotated, dt, dW, renormalize,
-                                  record, fault=fault)
+            wide = stored(psi0, K, rotated, dt, dW, renormalize, record,
+                          fault=fault)
             # compare finite states only: no row may have blown up
             assert not wide[3].any(), (d, n_ops)
             for k in (1, 37):
-                narrow = simulate_chunk(psi0, K, rotated, dt, dW[:k],
-                                        renormalize, record, fault=fault)
+                narrow = stored(psi0, K, rotated, dt, dW[:k], renormalize,
+                                record, fault=fault)
                 assert not narrow[3].any(), (d, n_ops, k)
                 for a, b in zip(narrow, wide):
                     assert a.tobytes() == b[:k].tobytes(), (d, n_ops, k)
@@ -166,8 +177,8 @@ def runs_with_a_bad_increment(renormalize, step, value):
     bad = dW.copy()
     bad[3, step] = value
     record = np.arange(1, 201, 7, dtype=np.int64)
-    return [simulate_chunk(psi0, K, rotated, dt, x, renormalize, record,
-                           fault="zero_ell_in_B") for x in (dW, bad)]
+    return [stored(psi0, K, rotated, dt, x, renormalize, record,
+                   fault="zero_ell_in_B") for x in (dW, bad)]
 
 
 def assert_row_3_flagged_alone(runs):
@@ -227,8 +238,8 @@ def test_increments_must_fill_every_channel_and_record(channels, steps,
 
 def test_renormalized_states_have_unit_norm():
     psi0, K, rotated, dt, dW = dephasing_inputs(batch=4, steps=100)
-    states, _, _, status = simulate_chunk(psi0, K, rotated, dt, dW, True,
-                                          np.array([100], dtype=np.int64))
+    states, _, _, status = stored(psi0, K, rotated, dt, dW, True,
+                                  np.array([100], dtype=np.int64))
     assert not status.any()
     norms = np.sum(np.abs(states[:, 0]) ** 2, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
@@ -245,9 +256,8 @@ def quadrature_step(u, psi, dt, q):
     N = u.rotated.shape[0]
     dW = np.sqrt(dt) * np.array(list(itertools.product(x, repeat=N)))
     weights = np.prod(list(itertools.product(w / w.sum(), repeat=N)), axis=1)
-    states, _, _, status = simulate_chunk(psi, u.K, u.rotated, dt,
-                                          dW[:, None, :], True,
-                                          np.array([1], dtype=np.int64))
+    states, _, _, status = stored(psi, u.K, u.rotated, dt, dW[:, None, :],
+                                  True, np.array([1], dtype=np.int64))
     assert not status.any()
     return weights, states[:, 0]
 

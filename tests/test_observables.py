@@ -6,7 +6,7 @@ import pytest
 from qunravel.hilbert import SIGMA_Z, normalize
 from qunravel.lindblad import LindbladModel
 from qunravel.observables import (born_statistics, diffusion_matrix,
-                                  spectral_sectors, variance, variance_drift)
+                                  spectral_sectors, variance)
 from qunravel.unraveling import UnitaryFreedom, Unraveling
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
@@ -36,13 +36,6 @@ def test_variance_of_a_batch_is_the_variance_of_each_state():
     assert isinstance(variance(states[0, 0], L), float)
     with pytest.raises(ValueError, match="dim"):
         variance(states, SIGMA_Z)
-
-
-def test_variance_drift_phase_family():
-    V = variance(PLUS, SIGMA_Z)
-    assert variance_drift(PLUS, SIGMA_Z, 0.0) == pytest.approx(-4.0 * V * V)
-    assert variance_drift(PLUS, SIGMA_Z, np.pi / 4) == pytest.approx(-2.0 * V * V)
-    assert variance_drift(PLUS, SIGMA_Z, np.pi / 2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_diffusion_matrix_is_psd_and_correct_shape():

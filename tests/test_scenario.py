@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qunravel.lindblad import gell_mann_basis
-from qunravel.scenario import (Scenario, ScenarioError, complex_to_pairs,
-                               pairs_to_complex, parse_scenario,
-                               scenario_from_dict)
+from qunravel.scenario import (SCENARIO_KEYS, Scenario, ScenarioError,
+                               complex_to_pairs, pairs_to_complex,
+                               parse_scenario, scenario_from_dict)
 
 MINIMAL = {
     "dim": 2,
@@ -174,7 +174,8 @@ def test_an_unknown_key_is_rejected_by_name(where, key):
     del (bad[where] if where else bad)[key]
     scenario_from_dict(bad)
     # a caller's own keys are let through
-    scenario_from_dict(dict(bad, check="ensemble-vs-exact"), ("check",))
+    scenario_from_dict(dict(bad, check="ensemble-vs-exact"),
+                       SCENARIO_KEYS + ("check",))
 
 
 @pytest.mark.parametrize("data", [[MINIMAL], 5, "dim"])

@@ -127,13 +127,13 @@ def test_wiener_increment_moments():
 
 def test_step_matches_manual_euler_update():
     dt, dw = 1e-3, 0.02
-    states, _, _, status = kernels.simulate_chunk(
+    final, _, _, status = kernels.simulate_chunk(
         PLUS, DEPHASING.K, DEPHASING.rotated, dt, np.full((1, 1, 1), dw),
         True, np.array([1]))
     assert status.tolist() == [0]
     # manual update at |+>: ell = 0, K = -I/2
     raw = PLUS - 0.5 * dt * PLUS + dw * (SIGMA_Z @ PLUS)
-    assert np.allclose(states[0, 0], raw / np.linalg.norm(raw), atol=1e-14)
+    assert np.allclose(final[0], raw / np.linalg.norm(raw), atol=1e-14)
 
 
 def test_ensemble_is_thread_count_invariant(monkeypatch):
@@ -519,7 +519,7 @@ def test_a_one_trajectory_batch_is_thread_count_invariant(monkeypatch):
         psi0, DEPHASING.K, DEPHASING.rotated, cfg.dt,
         sde._Increments(cfg.seed, 256, 1, cfg.n_steps, 1, cfg.dt), True,
         cfg.record_steps())[0]
-    assert lone[0, -1].tobytes() == runs[0].final_states[256].tobytes()
+    assert lone[0].tobytes() == runs[0].final_states[256].tobytes()
 
 
 def test_given_increments_are_thread_count_invariant(monkeypatch):

@@ -350,12 +350,14 @@ def test_run_suite_dispatch_and_expected_failures():
 
 
 def suite_entry(check, **fields):
+    """An entry of check with the scenario keys it reads, and fields."""
     H = complex_to_pairs(np.zeros((2, 2)))
     entry = {"check": check, "dim": 2, "hamiltonian": H,
-             "lindblad_ops": [complex_to_pairs(SIGMA_Z)],
-             "psi0": complex_to_pairs(PLUS),
-             "integration": {"dt": 1e-2, "t_final": 0.1, "seed": 4},
-             "trajectories": 10}
+             "lindblad_ops": [complex_to_pairs(SIGMA_Z)]}
+    if check in ("ensemble-vs-exact", "unraveling-equivalence"):
+        entry.update(psi0=complex_to_pairs(PLUS),
+                     integration={"dt": 1e-2, "t_final": 0.1, "seed": 4},
+                     trajectories=10)
     if check == "unraveling-equivalence":
         entry.update(freedoms=["standard", "standard"], t=0.1)
     if check == "complete-positivity":
