@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import hilbert, lindblad, observables, sde, verify
+from . import hilbert, lindblad, sde, verify
 from .scenario import (ENSEMBLE_KEYS, ScenarioError, complex_to_pairs,
                        parse_scenario)
 from .tolerances import TOL
@@ -274,7 +274,7 @@ def cmd_variance_scan(args):
         est = sde.simulate_ensemble(
             u, scenario.psi0, cfg, scenario.trajectories,
             threads=args.threads,
-            reducers={"V": lambda s: observables._variance(
+            reducers={"V": lambda s: hilbert.variance(
                 np.moveaxis(s, 0, -1), L).sum(-1)})
         curves.append(est.means["V"])
     os.makedirs(args.out, exist_ok=True)

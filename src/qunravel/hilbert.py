@@ -78,6 +78,22 @@ def outer(psi, phi):
     return np.outer(psi, np.conj(phi))
 
 
+def variance(psi, L):
+    """V = <L^2> - <L>^2 for a Hermitian (d, d) L at each unit state of a
+    (..., d) batch, as an array of shape (...)."""
+    L = as_operator(L)
+    if not is_hermitian(L):
+        raise ValueError("L must be Hermitian")
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim == 0 or psi.shape[-1] != L.shape[0]:
+        raise ValueError(f"states of shape {psi.shape} do not have dim "
+                         f"{L.shape[0]}")
+    Lpsi = psi @ L.T
+    mean = np.sum(np.conj(psi) * Lpsi, axis=-1).real
+    second = np.sum(np.abs(Lpsi) ** 2, axis=-1)
+    return second - mean * mean
+
+
 def trace_distance(rho, sigma):
     """Half the sum of singular values of rho - sigma."""
     rho = as_operator(rho)

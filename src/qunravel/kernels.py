@@ -8,12 +8,12 @@ operators L_k, it maps a batch of states to
     A psi = K psi + sum_k (ell_k L_k psi - ell_k^2 psi / 2),
     B_k   = L_k psi - ell_k psi,          ell_k = Re <psi, L_k psi>.
 
-``unraveling.diffusion_vectors`` and ``unraveling.generator_term`` call it
-with a batch of one; :func:`simulate_chunk` calls it once per step.  An
-optional fault ("drop_ell2" or "zero_ell_in_B") removes the -ell_k^2/2 drift
-term or the -ell_k psi part of B_k; under a fault the functionals are taken
-on the normalized state, which keeps the (trace non-preserving) faulty
-dynamics integrable without renormalization.
+``unraveling.generator_term`` calls it with a batch of one;
+:func:`simulate_chunk` calls it once per step.  An optional fault
+("drop_ell2" or "zero_ell_in_B") removes the -ell_k^2/2 drift term or the
+-ell_k psi part of B_k; under a fault the functionals are taken on the
+normalized state, which keeps the (trace non-preserving) faulty dynamics
+integrable without renormalization.
 
 Kernel contract: given a shared initial state and Wiener increments dW of
 shape (batch, steps, N), advance each trajectory with

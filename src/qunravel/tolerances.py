@@ -11,8 +11,6 @@ class Tolerances:
     unitary: float = 1e-12            # max entrywise |u^dag u - 1|
     independence: float = 1e-10       # relative Gram-eigenvalue cutoff
     generator_match: float = 1e-10    # unraveling generator vs Lindblad RHS
-    spectral_gap: float = 1e-9        # eigenvalue grouping for sectors
-    classify: float = 1e-3            # default Born sector threshold
     blowup_norm: float = 1e-6         # ||psi'|| below this aborts a trajectory
 
 

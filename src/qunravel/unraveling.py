@@ -12,8 +12,9 @@ operators L_k^u = sum_j u_kj L_j and, at a unit state psi,
 
 The global-phase gauge functionals are fixed to zero, which makes every
 ell_k real.  The formula itself is evaluated in one place,
-``kernels.drift_diffusion``; the functions here call it at a single state.  The scalar-phase family (n = 1, u = [e^{if}]) interpolates
-between the standard collapse dynamics (f = 0) and a linear random-potential
+``kernels.drift_diffusion``; :func:`generator_term` calls it at a single
+state.  The scalar-phase family (n = 1, u = [e^{if}]) interpolates between
+the standard collapse dynamics (f = 0) and a linear random-potential
 evolution with no collapse (f = pi/2).
 """
 
@@ -98,6 +99,9 @@ def parse_freedom(spec, n):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"unitary: must be JSON rows of [re, im] "
                              f"pairs: {exc}") from None
+        if len(u) < n:
+            raise ValueError(f"unitary: {len(u)} rows, fewer than the {n} "
+                             f"Lindblad ops")
         return UnitaryFreedom(matrix=u)
     raise ValueError(f"unknown freedom spec {spec!r}")
 
@@ -105,12 +109,11 @@ def parse_freedom(spec, n):
 class Unraveling:
     """A LindbladModel together with a noise-mixing freedom.
 
-    Precomputes the stacked rotated operators (N, d, d), the
-    (unitary-invariant) sum L_k^dag L_k and the constant drift matrix
-    K = -iH - (1/2) sum L_k^dag L_k.  fault, when set to one of
-    ``kernels.FAULTS``, deliberately breaks the drift or diffusion
-    construction everywhere this unraveling is used; the verification
-    harness must catch it.
+    Precomputes the stacked rotated operators (N, d, d) and the constant
+    drift matrix K = -iH - (1/2) sum L_k^dag L_k, whose sum is invariant
+    under the mixing.  fault, when set to one of ``kernels.FAULTS``,
+    deliberately breaks the drift or diffusion construction everywhere
+    this unraveling is used; the verification harness must catch it.
     """
 
     def __init__(self, model, freedom=None, fault=None):
@@ -137,10 +140,9 @@ class Unraveling:
         self.rotated = np.array(
             [sum(u[k, j] * padded[j] for j in range(N)) for k in range(N)],
             dtype=complex)
-        self.ldag_l_sum = sum(
+        self.K = -1j * model.hamiltonian - 0.5 * sum(
             (hilbert.dagger(L) @ L for L in padded),
             start=np.zeros((d, d), dtype=complex))
-        self.K = -1j * model.hamiltonian - 0.5 * self.ldag_l_sum
 
     @property
     def dim(self):
@@ -151,24 +153,15 @@ class Unraveling:
         return self.freedom.noise_count
 
 
-def _drift_diffusion(u, psi):
-    psi = hilbert.as_state(psi, dim=u.dim)
-    A, B = kernels.drift_diffusion(psi[:, None], u.K, u.rotated, u.fault)
-    return psi, A[:, 0], B[:, :, 0]
-
-
-def diffusion_vectors(u, psi):
-    """B_k(psi) = L_k^u psi - ell_k psi.  Each satisfies Re<psi, B_k> = 0."""
-    return list(_drift_diffusion(u, psi)[2])
-
-
 def generator_term(u, psi):
     """|A><psi| + |psi><A| + sum_k |B_k><B_k| at a unit state.
 
     Equals lindblad_rhs(model, |psi><psi|) for every member of the family;
     this identity is the core correctness check.
     """
-    psi, A, B = _drift_diffusion(u, psi)
+    psi = hilbert.as_state(psi, dim=u.dim)
+    A, B = kernels.drift_diffusion(psi[:, None], u.K, u.rotated, u.fault)
+    A, B = A[:, 0], B[:, :, 0]
     out = hilbert.outer(A, psi) + hilbert.outer(psi, A)
     for Bk in B:
         out = out + hilbert.outer(Bk, Bk)

@@ -261,6 +261,25 @@ def test_malformed_unitary_freedom_exits_2(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "choi", "verify"])
+def test_a_unitary_with_fewer_rows_than_operators_exits_2(tmp_path, capsys,
+                                                          command):
+    # it once passed the parser, and simulate raised "noise count 1 <
+    # operator count 2" with a traceback and exit 1
+    data = small_scenario(
+        lindblad_ops=[complex_to_pairs(SIGMA_Z),
+                      complex_to_pairs(np.array([[0, 1], [1, 0]]))],
+        freedom="unitary:[[[1,0]]]")
+    if command == "verify":
+        data = {"checks": [dict(data, check="ensemble-vs-exact")]}
+    scn = write(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert ("freedom: unitary: 1 rows, fewer than the 2 Lindblad ops"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{ not json")

@@ -9,7 +9,7 @@ from qunravel import hilbert
 from qunravel.hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator, dagger,
                               check_linear_independence, hermiticity_defect,
                               is_hermitian, is_normalized, norm2, normalize,
-                              outer, trace_distance)
+                              outer, trace_distance, variance)
 from qunravel.tolerances import TOL
 
 
@@ -78,6 +78,31 @@ def test_outer_is_rank_one_projector_on_unit_states():
     P = outer(psi, psi)
     assert np.allclose(P @ P, P)
     assert np.trace(P) == pytest.approx(1.0)
+
+
+def test_variance_oracle_values():
+    # [TRIVIAL] sz has variance 1 at |+> and 0 on eigenstates
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    assert variance(plus, SIGMA_Z) == pytest.approx(1.0)
+    assert variance([1.0, 0.0], SIGMA_Z) == pytest.approx(0.0)
+    psi = normalize([np.sqrt(0.3), np.sqrt(0.7)])
+    assert variance(psi, SIGMA_Z) == pytest.approx(4 * 0.3 * 0.7)
+    with pytest.raises(ValueError, match="Hermitian"):
+        variance(plus, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_variance_of_a_batch_is_the_variance_of_each_state():
+    rng = np.random.default_rng(3)
+    G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    L = G + G.conj().T
+    states = rng.normal(size=(5, 4, 3)) + 1j * rng.normal(size=(5, 4, 3))
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    V = variance(states, L)
+    assert V.shape == (5, 4)
+    for idx in np.ndindex(5, 4):
+        assert V[idx] == pytest.approx(variance(states[idx], L), abs=1e-13)
+    with pytest.raises(ValueError, match="dim"):
+        variance(states, SIGMA_Z)
 
 
 def test_trace_distance_oracle_orthogonal_pure_states():

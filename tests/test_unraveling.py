@@ -12,10 +12,11 @@ from qunravel.hilbert import SIGMA_X, SIGMA_Z, dagger, normalize
 from qunravel.lindblad import LindbladModel
 from qunravel.scenario import complex_to_pairs
 from qunravel.unraveling import (DIOSI_COMPLEX_U, UnitaryFreedom, Unraveling,
-                                 diffusion_vectors, generator_term,
-                                 parse_freedom, standard_freedom)
+                                 generator_term, parse_freedom,
+                                 standard_freedom)
 
-from randomized import random_model, random_unitary
+from randomized import (random_hermitian, random_model, random_unitary,
+                        scaled_model)
 
 DEPHASING = LindbladModel(np.zeros((2, 2)), (SIGMA_Z,))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -95,8 +96,9 @@ def test_unraveling_pads_with_zero_operators():
     # identity freedom: the rotated operators are L, 0, 0
     assert np.allclose(u.rotated[0], SIGMA_Z)
     assert np.allclose(u.rotated[1:], 0.0)
-    # padding must not change the invariant sum L^dag L
-    assert np.allclose(u.ldag_l_sum, np.eye(2))
+    # padding must not change the invariant sum L^dag L: with H = 0,
+    # K = -(1/2) sz^dag sz = -I/2
+    assert np.allclose(u.K, -0.5 * np.eye(2))
     with pytest.raises(ValueError, match="noise count"):
         Unraveling(LindbladModel(np.zeros((2, 2)), (SIGMA_Z, SIGMA_X)),
                    UnitaryFreedom(matrix=np.eye(1, dtype=complex)))
@@ -106,10 +108,10 @@ def test_dephasing_drift_and_diffusion_oracle():
     # [DERIVED] at psi = |+>: ell = <sz> = 0, so A psi = -psi/2 and B = sz psi
     u = Unraveling(DEPHASING, "standard")
     assert ell(PLUS, u.rotated[0]) == pytest.approx(0.0)
-    A, _ = kernels.drift_diffusion(PLUS[:, None], u.K, u.rotated)
+    A, B = kernels.drift_diffusion(PLUS[:, None], u.K, u.rotated)
     assert np.allclose(A[:, 0], -0.5 * PLUS)
-    (B,) = diffusion_vectors(u, PLUS)
-    assert np.allclose(B, np.array([1.0, -1.0]) / np.sqrt(2.0))
+    assert B.shape == (1, 2, 1)
+    assert np.allclose(B[0, :, 0], np.array([1.0, -1.0]) / np.sqrt(2.0))
 
 
 def test_ell_is_real_and_gauge_zero():
@@ -117,7 +119,8 @@ def test_ell_is_real_and_gauge_zero():
     u = Unraveling(DEPHASING, "diosi-complex")
     for _ in range(20):
         psi = random_state(rng, 2)
-        for B in diffusion_vectors(u, psi):
+        _, Bs = kernels.drift_diffusion(psi[:, None], u.K, u.rotated)
+        for B in Bs[:, :, 0]:
             # zero-gauge condition: Re<psi, B_k> = 0
             assert abs(np.real(np.vdot(psi, B))) < 1e-12
 
@@ -183,3 +186,82 @@ def test_standard_freedom_default():
     u = Unraveling(DEPHASING)
     assert np.allclose(u.freedom.as_matrix(), np.eye(1))
     assert standard_freedom(0).noise_count == 1
+
+
+# No-signalling at the generator.  G(psi) = |A><psi| + |psi><A|
+# + sum_k |B_k><B_k| must be a linear map of P = |psi><psi|, or two ensembles
+# with the same rho drift apart and the choice of ensemble signals (Gisin,
+# Phys. Lett. A 143, 1 (1990)).  The map is fitted from G alone, with no
+# model and no oracle, and only then compared with the Liouvillian.
+LINEARITY_TOL = 1e-12
+
+
+def fitted_generator(generator, d, rng):
+    """The d^2 x d^2 least-squares X with vec(P) X = vec(generator(psi)) on
+    2 d^2 random pure states (vec column-major, one state per row), and its
+    largest entrywise miss on d^2 fresh ones."""
+    def sample(m):
+        states = [random_state(rng, d) for _ in range(m)]
+        P = np.array([np.outer(s, s.conj()).ravel(order="F") for s in states])
+        G = np.array([generator(s).ravel(order="F") for s in states])
+        return P, G
+
+    P, G = sample(2 * d * d)
+    X = np.linalg.lstsq(P, G, rcond=None)[0]
+    P, G = sample(d * d)
+    return X, float(np.max(np.abs(P @ X - G)))
+
+
+def random_member(rng, d, n, N):
+    """A unit-norm random model with n operators and a random N x N
+    unitary mixing, given as a unitary: spec."""
+    model = scaled_model(rng, d, n_ops=n)
+    spec = "unitary:" + json.dumps(complex_to_pairs(random_unitary(rng, N)))
+    return model, spec
+
+
+MEMBERS = ["standard", "diosi-complex", "linear-potential", "phase:0.9",
+           "random-N=n", "random-N>n"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("member", MEMBERS)
+def test_the_generator_is_linear_in_the_projector(d, member):
+    rng = np.random.default_rng([d, MEMBERS.index(member)])
+    if member == "random-N=n":
+        model, spec = random_member(rng, d, 2, 2)
+    elif member == "random-N>n":
+        model, spec = random_member(rng, d, 2, 4)
+    else:
+        model = scaled_model(rng, d, n_ops=2 if member == "standard" else 1)
+        spec = member
+    u = Unraveling(model, spec)
+    X, residual = fitted_generator(lambda psi: generator_term(u, psi), d, rng)
+    assert residual <= LINEARITY_TOL
+    # the map read off the unraveling is the model's Liouvillian
+    assert np.max(np.abs(X.T - lindblad.liouvillian(model))) <= LINEARITY_TOL
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("broken", ["drop_ell2", "zero_ell_in_B", "weinberg"])
+def test_a_nonlinear_generator_fails_the_linearity_fit(d, broken):
+    rng = np.random.default_rng([d, len(MEMBERS)])
+    model, spec = random_member(rng, d, 2, 3)
+    if broken == "weinberg":
+        # a member plus the norm-preserving Weinberg drift
+        # -i eps <psi, F psi> F psi, F Hermitian of unit norm, eps = 1e-4
+        u = Unraveling(model, spec)
+        F = random_hermitian(rng, d)
+        F /= np.linalg.norm(F, 2)
+
+        def generator(psi):
+            dA = -1e-4j * np.vdot(psi, F @ psi).real * (F @ psi)
+            return (generator_term(u, psi) + np.outer(dA, psi.conj())
+                    + np.outer(psi, dA.conj()))
+    else:
+        u = Unraveling(model, spec, fault=broken)
+
+        def generator(psi):
+            return generator_term(u, psi)
+    _, residual = fitted_generator(generator, d, rng)
+    assert residual > LINEARITY_TOL
